@@ -2,8 +2,8 @@
 """The hardness lab: set disjointness through stars, and zero cliques.
 
 Two constructions are shown.  First, a family-of-sets workload is encoded
-as a star-query database, so asking "do these k sets intersect?" becomes a
-binary search over direct-access calls.  Second, a weighted complete
+as a star-query database, so asking "do these k sets intersect?" becomes
+one walk down the index over the k set indices.  Second, a weighted complete
 tripartite graph is searched for a zero-weight triangle purely through
 set-intersection queries, with the answers verified against the original
 weights.

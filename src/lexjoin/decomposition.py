@@ -82,10 +82,6 @@ def fractional_independent_set(h: Hypergraph) -> tuple[Fraction, dict[str, Fract
     return value, {v: x[pos[v]] for v in verts}
 
 
-def _check_pair(q: JoinQuery, order: VariableOrder) -> None:
-    order.check_against(q)
-
-
 def disruption_free_iterative(q: JoinQuery, order: VariableOrder) -> list[frozenset[str]]:
     """Bags by the backward sweep: each variable joins its earlier neighbors.
 
@@ -93,7 +89,7 @@ def disruption_free_iterative(q: JoinQuery, order: VariableOrder) -> list[frozen
     neighbors in the hypergraph accumulated so far (original edges plus the
     bags already added).  Returns bags indexed by order position.
     """
-    _check_pair(q, order)
+    order.check_against(q)
     return _disruption_free_of_hypergraph(hypergraph_of(q), order)
 
 
@@ -103,7 +99,7 @@ def disruption_free_closed_form(q: JoinQuery, order: VariableOrder) -> list[froz
     Bag i is the variable plus every earlier neighbor of the connected
     component of the variable among the order's suffix.
     """
-    _check_pair(q, order)
+    order.check_against(q)
     h = hypergraph_of(q)
     vs = order.variables
     bags: list[frozenset[str]] = []
@@ -120,16 +116,8 @@ def incompatibility_number(q: JoinQuery, order: VariableOrder) -> tuple[Fraction
 
     Returns the value and the 0-based index of the first bag attaining it.
     """
-    h = hypergraph_of(q)
-    bags = disruption_free_iterative(q, order)
-    best = Fraction(0)
-    witness = 0
-    for i, bag in enumerate(bags):
-        rho = fractional_edge_cover(hg.induced(h, bag)).total
-        if rho > best:
-            best = rho
-            witness = i
-    return best, witness
+    d = decompose(q, order)
+    return d.iota, d.witness
 
 
 def join_forest(bags: Sequence[frozenset[str]], order: VariableOrder) -> dict[int, int | None]:
@@ -169,9 +157,6 @@ class Decomposition:
     bag_cover: tuple[FractionalCover, ...]
     iota: Fraction
     witness: int
-
-    def children(self, i: int) -> list[int]:
-        return [c for c in range(len(self.bags)) if self.parent[c] == i]
 
 
 def decompose(q: JoinQuery, order: VariableOrder) -> Decomposition:

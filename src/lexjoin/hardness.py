@@ -132,8 +132,7 @@ def prefix_block(ix: AccessIndex, values: Sequence) -> tuple[int, int]:
     """Index range [lo, hi) of answers whose first order positions equal ``values``.
 
     Answers sharing a fixed prefix on the leading variables of the order are
-    contiguous, so two binary searches over direct-access calls locate the
-    block.
+    contiguous; one index walk over the prefix's variables locates the block.
     """
     codes = []
     for i, v in enumerate(values):
@@ -142,30 +141,11 @@ def prefix_block(ix: AccessIndex, values: Sequence) -> tuple[int, int]:
         if code is None:
             return (0, 0)
         codes.append(code)
-    target = tuple(codes)
-    width = len(target)
-    total = ix.count()
-
-    lo, hi = 0, total
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if ix.access_codes(mid)[:width] < target:
-            lo = mid + 1
-        else:
-            hi = mid
-    start = lo
-    lo, hi = start, total
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if ix.access_codes(mid)[:width] <= target:
-            lo = mid + 1
-        else:
-            hi = mid
-    return (start, lo)
+    return ix.prefix_range(codes)
 
 
 def projected_star_test(ix: AccessIndex, indices: Sequence[int]) -> bool:
-    """Does some z complete (j_1, ..., j_k)?  Binary search over access calls."""
+    """Does some z complete (j_1, ..., j_k)?  One walk over the star's index."""
     if len(indices) != len(ix.order.variables) - 1:
         raise InputError("expected one index per star arm")
     lo, hi = prefix_block(ix, indices)
@@ -537,8 +517,8 @@ class DirectAccessBackend:
     """Answers intersection queries through the direct-access engine.
 
     The instance is encoded as a star-query database; a query's witnesses
-    are the contiguous block of answers sharing the index prefix, read off
-    with direct-access calls.
+    are the contiguous block of answers sharing the index prefix, located by
+    one index walk and read off with direct-access calls.
     """
 
     def prepare(self, inst: SetFamilyInstance) -> AccessIndex:

@@ -219,9 +219,13 @@ def load_index(path: str | Path) -> AccessIndex:
     tables = []
     for i in range(nbags):
         m = r.uvarint()
-        members = tuple(order.variables[r.uvarint()] for _ in range(m))
-        bags.append(members)
+        positions = [r.uvarint() for _ in range(m)]
+        if any(pos >= nbags for pos in positions):
+            raise InputError(f"{path}: bag member position out of range")
+        bags.append(tuple(order.variables[pos] for pos in positions))
         p = r.uvarint()
+        if p > i:
+            raise InputError(f"{path}: bag parent pointer out of range")
         parent[i] = None if p == 0 else p - 1
         groups: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
         for _ in range(r.uvarint()):
@@ -249,6 +253,5 @@ def load_index(path: str | Path) -> AccessIndex:
         parent=parent,
         tables=tuple(tables),
         total_count=total,
-        database=None,
         stats={},
     )

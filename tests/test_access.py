@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from lexjoin import build_database
 from lexjoin.access import build_index
 from lexjoin.errors import InputError, NotAnAnswerError, OutOfBoundsError
-from lexjoin.oracle import materialize_sorted
+from lexjoin.oracle import materialize_codes, materialize_sorted
 from lexjoin.query import parse_query
 from tests.randgen import random_database, random_query
 
@@ -59,6 +60,28 @@ def test_oracle_equivalence_random_instances():
         for j, row in enumerate(expected.rows):
             assert ix.access(j) == row
             assert ix.rank(row) == j
+
+
+def test_prefix_range_matches_oracle():
+    absent = 0
+    for seed in range(25):
+        q, order, db, ix = built_random(seed, max_vars=5, max_atoms=5)
+        rows = materialize_codes(q, order, db)
+        n = len(order.variables)
+        rng = random.Random(seed)
+        pool = range(-1, len(db.dictionary) + 1)
+        for w in range(n + 1):
+            heads = [row[:w] for row in rows]
+            probes = set(heads) | {tuple(rng.choice(pool) for _ in range(w)) for _ in range(20)}
+            for p in probes:
+                start, stop = bisect_left(heads, p), bisect_right(heads, p)
+                assert ix.prefix_range(p) == (start, stop)
+                absent += start == stop
+        for j, row in enumerate(rows):
+            assert ix.rank_codes(row) == ix.prefix_range(row)[0] == j
+        with pytest.raises(InputError):
+            ix.prefix_range((0,) * (n + 1))
+    assert absent > 0
 
 
 def test_strict_monotonicity():

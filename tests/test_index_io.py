@@ -1,13 +1,15 @@
 import random
+import zlib
 
 import pytest
 
 from lexjoin import build_database
 from lexjoin.access import build_index
+from lexjoin.cli import main
 from lexjoin.errors import InputError
 from lexjoin.index_io import MAGIC, load_index, save_index
 from lexjoin.oracle import materialize_sorted
-from lexjoin.query import parse_query
+from lexjoin.query import format_query, parse_query
 from tests.randgen import random_database, random_query
 
 
@@ -90,15 +92,46 @@ def test_truncation_rejected(tmp_path):
         load_index(path)
 
 
+def rewrite_first_bag_byte(path, q, order, field, value):
+    """Set a byte of bag 0 (0 member count, 1 first member, 2 parent) and re-seal the CRC."""
+    payload = bytearray(path.read_bytes()[:-4])
+    text = format_query(q, order).encode("utf-8")
+    # After the query text: one type tag per variable, then the one-byte bag count.
+    offset = payload.index(text) + len(text) + len(order.variables) + 1
+    assert payload[offset : offset + 3] == bytes((1, 0, 0))  # {z}, a root
+    payload[offset + field] = value
+    path.write_bytes(bytes(payload) + zlib.crc32(payload).to_bytes(4, "little"))
+
+
+@pytest.mark.parametrize("field, value", [(1, 9), (2, 5)], ids=["member", "parent"])
+def test_out_of_range_bag_pointer_rejected(tmp_path, capsys, field, value):
+    q, order, _, ix = sample_index()
+    path = tmp_path / "bad.idx"
+    save_index(ix, path)
+    rewrite_first_bag_byte(path, q, order, field, value)
+    with pytest.raises(InputError, match="out of range"):
+        load_index(path)
+    assert main(["count", "-i", str(path)]) == 2
+    assert "out of range" in capsys.readouterr().err
+
+
 def test_loaded_index_supports_membership(tmp_path):
     q, order, db, ix = sample_index()
     path = tmp_path / "q.idx"
     save_index(ix, path)
     loaded = load_index(path)
-    assert loaded.database is None
     answer = ix.access(0)
     assert loaded.test_membership(answer)
     assert not loaded.test_membership((99, "zz", 1))
+    rng = random.Random(7)
+    xs, ys, zs = (-4, 1, 2, 3), ("a", "b", "c", "q"), (1, 5, 7, 8)
+    members = 0
+    for _ in range(200):
+        probe = (rng.choice(xs), rng.choice(ys), rng.choice(zs))
+        verdict = ix.test_membership(probe)
+        assert loaded.test_membership(probe) == verdict
+        members += verdict
+    assert 0 < members < 200
 
 
 def test_empty_index_roundtrip(tmp_path):
