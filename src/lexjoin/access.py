@@ -10,10 +10,11 @@ Build phase, driven by the order-induced decomposition:
 3. a full reducer sweep over the join forest (children into parents bottom
    up, parents into children top down) so that every surviving tuple extends
    to a full answer;
-4. a counting pass from the last bag backwards: grouping each bag relation
-   by its interface (all columns except the bag's own variable), keeping the
-   candidate values sorted with prefix sums of completion counts, where a
-   tuple's completion count is the product of its children's group totals.
+4. a counting pass from the last bag backwards, shared with load
+   (``count_groups``): each bag's sorted candidates, grouped by interface (all
+   columns except the bag's own variable), get prefix sums of completion
+   counts, where a tuple's completion count is the product of its children's
+   group totals.  A saved index therefore holds candidates only.
 
 An access then walks the variables in order.  At each variable the pending
 groups (one per bag whose interface is fully assigned but whose variable is
@@ -36,7 +37,8 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import floor
+from itertools import groupby
+from math import floor, prod
 from typing import Iterator, Sequence
 
 from . import storage
@@ -249,7 +251,55 @@ class AccessIndex:
 
 
 # ---------------------------------------------------------------------- #
-# build
+# build; ordered_bags and count_groups are shared with load
+
+
+def ordered_bags(
+    bags: Sequence[frozenset[str]], order: VariableOrder
+) -> tuple[tuple[str, ...], ...]:
+    """Each bag's variables in order; its own variable, the latest, comes last."""
+    return tuple(tuple(sorted(bag, key=order.position)) for bag in bags)
+
+
+def count_groups(
+    bags: Sequence[tuple[str, ...]],
+    parent: dict[int, int | None],
+    candidates: Sequence[dict[tuple[int, ...], list[int]]],
+) -> tuple[tuple[GroupTable, ...], int]:
+    """Group tables with prefix sums of completion counts, and the answer count.
+
+    ``candidates[i]`` maps each interface key of bag i to its sorted, non-empty
+    candidates.  A candidate with no group in some child bag is an InternalError.
+    """
+    n = len(bags)
+    tables: list[GroupTable | None] = [None] * n
+    for i in range(n - 1, -1, -1):
+        col_of = {v: k for k, v in enumerate(bags[i])}
+        # A child hangs under the bag of its latest interface variable, so its
+        # key is part of bag i's group key followed by the candidate.
+        links = [
+            (c, tables[c].groups, tuple(col_of[v] for v in bags[c][:-2]))
+            for c in range(i + 1, n)
+            if parent[c] == i
+        ]
+        groups: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
+        for key, values in candidates[i].items():
+            heads = [(c, child, tuple(key[k] for k in cols)) for c, child, cols in links]
+            prefix: list[int] = []
+            running = 0
+            for value in values:
+                w = 1
+                for c, child, head in heads:
+                    entry = child.get(head + (value,))
+                    if entry is None:
+                        raise InternalError(f"bag {i}: a candidate has no group in child bag {c}")
+                    w *= entry[1][-1]
+                running += w
+                prefix.append(running)
+            groups[key] = (values, prefix)
+        tables[i] = GroupTable(groups)
+    total = prod(tables[i].total(()) for i in range(n) if parent[i] is None)
+    return tuple(tables), total
 
 
 def _variable_types(q: JoinQuery, db: Database) -> dict[str, str]:
@@ -272,9 +322,7 @@ def build_index(q: JoinQuery, order: VariableOrder, db: Database) -> AccessIndex
     var_types = _variable_types(q, db)
     decomp: Decomposition = decompose(q, order)
     n = len(order.variables)
-    bag_vars = tuple(
-        tuple(sorted(decomp.bags[i], key=order.position)) for i in range(n)
-    )
+    bag_vars = ordered_bags(decomp.bags, order)
     multiatom_joins = 0
 
     # Views over distinct variables: rows where repeated-variable columns agree.
@@ -337,52 +385,21 @@ def build_index(q: JoinQuery, order: VariableOrder, db: Database) -> AccessIndex
                 relations[c], relations[i], [(k, col_of[v]) for k, v in enumerate(iface)]
             )
 
-    # Counting pass: group each bag by interface; weight of a tuple is the
-    # product of its children's group totals.
-    tables: list[GroupTable | None] = [None] * n
-    pos_in_bag: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
-    for i in range(n):
-        col_of = {v: c for c, v in enumerate(bag_vars[i])}
-        for c in children[i]:
-            pos_in_bag[i].append((c, tuple(col_of[v] for v in bag_vars[c][:-1])))
-    for i in range(n - 1, -1, -1):
-        groups: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
-        cur_key: tuple[int, ...] | None = None
-        values: list[int] = []
-        prefix: list[int] = []
-        running = 0
-        for row in relations[i].rows:
-            key = row[:-1]
-            if key != cur_key:
-                if cur_key is not None:
-                    groups[cur_key] = (values, prefix)
-                cur_key, values, prefix, running = key, [], [], 0
-            w = 1
-            for c, cols in pos_in_bag[i]:
-                child_total = tables[c].total(tuple(row[k] for k in cols))
-                if child_total == 0:
-                    raise InternalError("full reduction left a dead tuple")
-                w *= child_total
-            running += w
-            values.append(row[-1])
-            prefix.append(running)
-        if cur_key is not None:
-            groups[cur_key] = (values, prefix)
-        tables[i] = GroupTable(groups)
+    # Sorted rows group by interface with their candidates already sorted.
+    candidates = [
+        {key: [row[-1] for row in rows] for key, rows in groupby(rel.rows, lambda row: row[:-1])}
+        for rel in relations
+    ]
+    tables, total = count_groups(bag_vars, decomp.parent, candidates)
 
-    total = 1
-    for i in range(n):
-        if decomp.parent[i] is None:
-            total *= tables[i].total(())
-
-    ix = AccessIndex(
+    return AccessIndex(
         query=q,
         order=order,
         dictionary=db.dictionary,
         var_types=var_types,
         bags=bag_vars,
         parent=dict(decomp.parent),
-        tables=tuple(tables),
+        tables=tables,
         total_count=total,
         stats={
             "multiatom_joins": multiatom_joins,
@@ -390,4 +407,3 @@ def build_index(q: JoinQuery, order: VariableOrder, db: Database) -> AccessIndex
             "iota": str(decomp.iota),
         },
     )
-    return ix

@@ -21,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import hardness, index_io, oracle, storage
-from .access import AccessIndex, build_index
+from .access import AccessIndex, build_index, ordered_bags
 from .decomposition import decompose
 from .errors import (
     InputError,
@@ -41,16 +41,11 @@ SCHEMA_VERSION = 1
 def _read_query(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise InputError(f"query file not found: {path}") from None
+    except OSError as exc:
+        raise InputError(f"cannot read query file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise InputError(f"query file {path} is not valid UTF-8") from None
     return parse_query(text)
-
-
-def _load_index(path: str) -> AccessIndex:
-    try:
-        return index_io.load_index(path)
-    except FileNotFoundError:
-        raise InputError(f"index file not found: {path}") from None
 
 
 def _parse_tuple(ix: AccessIndex, text: str) -> list:
@@ -88,6 +83,7 @@ def cmd_analyze(args) -> int:
     report = gyo_reduce(h)
     trios = disruptive_trios(q, order)
     decomp = decompose(q, order)
+    bags = ordered_bags(decomp.bags, order)
     payload = {
         "schema": SCHEMA_VERSION,
         "name": q.name,
@@ -98,7 +94,7 @@ def cmd_analyze(args) -> int:
         "disruptive_trios": [list(t) for t in trios],
         "bags": [
             {
-                "variables": sorted(decomp.bags[i], key=order.position),
+                "variables": list(bags[i]),
                 "parent": decomp.parent[i],
                 "rho_star": str(decomp.bag_cover[i].total),
                 "cover": {
@@ -107,7 +103,7 @@ def cmd_analyze(args) -> int:
                     if w > 0
                 },
             }
-            for i in range(len(decomp.bags))
+            for i in range(len(bags))
         ],
         "iota": str(decomp.iota),
         "witness_bag": decomp.witness,
@@ -161,13 +157,13 @@ def cmd_build(args) -> int:
 
 
 def cmd_access(args) -> int:
-    ix = _load_index(args.index)
+    ix = index_io.load_index(args.index)
     _emit_rows([ix.access(args.j)], args.format)
     return 0
 
 
 def cmd_count(args) -> int:
-    ix = _load_index(args.index)
+    ix = index_io.load_index(args.index)
     if args.format == "json":
         print(json.dumps({"schema": SCHEMA_VERSION, "count": str(ix.count())}))
     else:
@@ -176,7 +172,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    ix = _load_index(args.index)
+    ix = index_io.load_index(args.index)
     j = ix.rank(_parse_tuple(ix, args.tuple))
     if args.format == "json":
         print(json.dumps({"schema": SCHEMA_VERSION, "rank": str(j)}))
@@ -186,20 +182,20 @@ def cmd_rank(args) -> int:
 
 
 def cmd_enum(args) -> int:
-    ix = _load_index(args.index)
+    ix = index_io.load_index(args.index)
     stop = ix.count() if args.to is None else args.to
     _emit_rows(ix.enumerate_range(args.frm, stop), args.format)
     return 0
 
 
 def cmd_sample(args) -> int:
-    ix = _load_index(args.index)
+    ix = index_io.load_index(args.index)
     _emit_rows(ix.sample_without_replacement(args.n, args.seed), args.format)
     return 0
 
 
 def cmd_quantile(args) -> int:
-    ix = _load_index(args.index)
+    ix = index_io.load_index(args.index)
     try:
         q = Fraction(args.q)
     except (ValueError, ZeroDivisionError):
@@ -209,7 +205,7 @@ def cmd_quantile(args) -> int:
 
 
 def cmd_test(args) -> int:
-    ix = _load_index(args.index)
+    ix = index_io.load_index(args.index)
     verdict = ix.test_membership(_parse_tuple(ix, args.tuple))
     print("true" if verdict else "false")
     return 0

@@ -1,10 +1,13 @@
-"""Versioned binary container for a built index (magic ``LJDA1``).
+"""Versioned binary container for a built index (magic ``LJDA2``).
 
-Layout, in stream order (all integers LEB128 unsigned varints unless noted,
-multi-byte scalars little-endian):
+Only each group's sorted candidates are stored: the bags and their forest
+follow from the query, and load recomputes the prefix sums and the answer
+count with the build's own counting pass (``access.count_groups``).
+
+Layout, in stream order (all integers LEB128 unsigned varints unless noted):
 
 ===========================  ===================================================
-magic                        5 bytes, ``b"LJDA1"``; bumping the trailing digit
+magic                        5 bytes, ``b"LJDA2"``; bumping the trailing digit
                              is the format version, loaders reject anything else
 dictionary                   pool count; per pool (sorted by type name):
                              1 tag byte (0 int, 1 string), value count, then the
@@ -13,15 +16,11 @@ dictionary                   pool count; per pool (sorted by type name):
 query                        length-prefixed canonical query text, including an
                              ORDER clause when the order differs from the head
 variable types               one tag byte per order position
-bags                         bag count; per bag: member count, member order
-                             positions ascending, parent (0 none, else 1+index),
-                             group count, then per group (sorted by interface):
-                             interface codes, candidate count, candidates as
-                             varint first value plus gap varints, and one
-                             big-integer prefix sum per candidate
-                             (length-prefixed little-endian magnitude)
-total count                  length-prefixed big integer
-checksum                     CRC-32 of everything before it, 4 bytes
+groups                       per bag, in order: group count, then per group
+                             (sorted by interface): interface codes, candidate
+                             count, candidates as varint first value plus gap
+                             varints
+checksum                     CRC-32 of everything before it, 4 bytes, little-endian
 ===========================  ===================================================
 
 Save is fully deterministic, so rebuilding an index from identical inputs
@@ -34,12 +33,13 @@ import io
 import zlib
 from pathlib import Path
 
-from .access import AccessIndex, GroupTable
-from .errors import InputError
+from .access import AccessIndex, count_groups, ordered_bags
+from .decomposition import disruption_free_iterative, join_forest
+from .errors import InputError, InternalError
 from .query import format_query, parse_query
 from .storage import TYPE_INT, TYPE_STRING, ValueDictionary
 
-MAGIC = b"LJDA1"
+MAGIC = b"LJDA2"
 _TYPE_TAGS = {TYPE_INT: 0, TYPE_STRING: 1}
 _TAG_TYPES = {v: k for k, v in _TYPE_TAGS.items()}
 
@@ -65,14 +65,6 @@ def _unzigzag(value: int) -> int:
     return (value >> 1) if value % 2 == 0 else -((value + 1) >> 1)
 
 
-def _write_bigint(out: io.BytesIO, value: int) -> None:
-    if value < 0:
-        raise InputError("counts are non-negative")
-    data = value.to_bytes((value.bit_length() + 7) // 8 or 1, "little")
-    _write_uvarint(out, len(data))
-    out.write(data)
-
-
 class _Reader:
     def __init__(self, data: bytes):
         self.data = data
@@ -95,12 +87,27 @@ class _Reader:
                 return value
             shift += 7
 
-    def svarint(self) -> int:
-        return _unzigzag(self.uvarint())
+    def increasing(self, first: int, count: int) -> list[int]:
+        """first, then count - 1 values each a non-zero varint gap above the last."""
+        values = [first]
+        for _ in range(count - 1):
+            gap = self.uvarint()
+            if gap == 0:
+                raise InputError("index file values are not strictly increasing")
+            values.append(values[-1] + gap)
+        return values
 
-    def bigint(self) -> int:
-        n = self.uvarint()
-        return int.from_bytes(self.take(n), "little")
+    def type_name(self) -> str:
+        type_name = _TAG_TYPES.get(self.take(1)[0])
+        if type_name is None:
+            raise InputError("index file holds an unknown value type tag")
+        return type_name
+
+    def text(self) -> str:
+        try:
+            return self.take(self.uvarint()).decode("utf-8")
+        except UnicodeDecodeError:
+            raise InputError("index file holds text that is not UTF-8") from None
 
     def at_end(self) -> bool:
         return self.pos == len(self.data)
@@ -120,10 +127,7 @@ def save_index(ix: AccessIndex, path: str | Path) -> None:
         if type_name == TYPE_INT:
             prev = None
             for v in values:
-                if prev is None:
-                    _write_uvarint(out, _zigzag(v))
-                else:
-                    _write_uvarint(out, v - prev)
+                _write_uvarint(out, _zigzag(v) if prev is None else v - prev)
                 prev = v
         else:
             for v in values:
@@ -138,17 +142,11 @@ def save_index(ix: AccessIndex, path: str | Path) -> None:
     for v in ix.order.variables:
         out.write(bytes((_TYPE_TAGS[ix.var_types[v]],)))
 
-    _write_uvarint(out, len(ix.bags))
-    for i, bag in enumerate(ix.bags):
-        _write_uvarint(out, len(bag))
-        for v in bag:
-            _write_uvarint(out, ix.order.position(v))
-        parent = ix.parent[i]
-        _write_uvarint(out, 0 if parent is None else parent + 1)
-        groups = ix.tables[i].groups
+    for table in ix.tables:
+        groups = table.groups
         _write_uvarint(out, len(groups))
         for key in sorted(groups):
-            values, prefix = groups[key]
+            values = groups[key][0]
             for code in key:
                 _write_uvarint(out, code)
             _write_uvarint(out, len(values))
@@ -156,18 +154,21 @@ def save_index(ix: AccessIndex, path: str | Path) -> None:
             for code in values:
                 _write_uvarint(out, code if prev is None else code - prev)
                 prev = code
-            for p in prefix:
-                _write_bigint(out, p)
 
-    _write_bigint(out, ix.total_count)
     payload = out.getvalue()
     crc = zlib.crc32(payload).to_bytes(4, "little")
-    Path(path).write_bytes(payload + crc)
+    try:
+        Path(path).write_bytes(payload + crc)
+    except OSError as exc:
+        raise InputError(f"{path}: cannot write index file: {exc.strerror}") from None
 
 
 def load_index(path: str | Path) -> AccessIndex:
     """Load an index saved by :func:`save_index`; fails loudly on any mismatch."""
-    blob = Path(path).read_bytes()
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read index file: {exc.strerror}") from None
     if len(blob) < len(MAGIC) + 4:
         raise InputError(f"{path}: not an index file")
     payload, crc = blob[:-4], blob[-4:]
@@ -182,76 +183,57 @@ def load_index(path: str | Path) -> AccessIndex:
     pools: dict[str, list] = {}
     npools = r.uvarint()
     for _ in range(npools):
-        type_name = _TAG_TYPES.get(r.take(1)[0])
-        if type_name is None:
-            raise InputError(f"{path}: unknown value type tag")
+        type_name = r.type_name()
         count = r.uvarint()
-        values: list = []
         if type_name == TYPE_INT:
-            prev = None
-            for _ in range(count):
-                if prev is None:
-                    prev = _unzigzag(r.uvarint())
-                else:
-                    prev += r.uvarint()
-                values.append(prev)
+            pools[type_name] = r.increasing(_unzigzag(r.uvarint()), count) if count else []
         else:
-            for _ in range(count):
-                values.append(r.take(r.uvarint()).decode("utf-8"))
-        pools[type_name] = values
+            pools[type_name] = [r.text() for _ in range(count)]
     dictionary = ValueDictionary(pools)
 
-    text = r.take(r.uvarint()).decode("utf-8")
-    q, order = parse_query(text)
+    q, order = parse_query(r.text())
 
-    var_types = {}
-    for v in order.variables:
-        tag = r.take(1)[0]
-        if tag not in _TAG_TYPES:
-            raise InputError(f"{path}: unknown value type tag")
-        var_types[v] = _TAG_TYPES[tag]
+    var_types = {v: r.type_name() for v in order.variables}
 
-    nbags = r.uvarint()
-    if nbags != len(order.variables):
-        raise InputError(f"{path}: bag count does not match the query")
-    bags = []
-    parent: dict[int, int | None] = {}
-    tables = []
-    for i in range(nbags):
-        m = r.uvarint()
-        positions = [r.uvarint() for _ in range(m)]
-        if any(pos >= nbags for pos in positions):
-            raise InputError(f"{path}: bag member position out of range")
-        bags.append(tuple(order.variables[pos] for pos in positions))
-        p = r.uvarint()
-        if p > i:
-            raise InputError(f"{path}: bag parent pointer out of range")
-        parent[i] = None if p == 0 else p - 1
-        groups: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
+    bag_sets = disruption_free_iterative(q, order)
+    parent = join_forest(bag_sets, order)
+    bags = ordered_bags(bag_sets, order)
+    candidates = []
+    for i, bag in enumerate(bags):
+        pool = dictionary.pool_codes(var_types[bag[-1]])
+        groups: dict[tuple[int, ...], list[int]] = {}
+        last_key = None
         for _ in range(r.uvarint()):
-            key = tuple(r.uvarint() for _ in range(m - 1))
+            key = tuple(r.uvarint() for _ in range(len(bag) - 1))
+            if last_key is not None and key <= last_key:
+                raise InputError(f"{path}: bag {i} groups are not in increasing order")
+            last_key = key
             count = r.uvarint()
-            values = []
-            prev = None
-            for _ in range(count):
-                prev = r.uvarint() if prev is None else prev + r.uvarint()
-                values.append(prev)
-            prefix = [r.bigint() for _ in range(count)]
-            groups[key] = (values, prefix)
-        tables.append(GroupTable(groups))
-
-    total = r.bigint()
+            if count == 0:
+                raise InputError(f"{path}: bag {i} has an empty group")
+            values = r.increasing(r.uvarint(), count)
+            if values[0] not in pool or values[-1] not in pool:
+                raise InputError(
+                    f"{path}: bag {i} candidate code outside the {var_types[bag[-1]]} pool"
+                )
+            groups[key] = values
+        candidates.append(groups)
     if not r.at_end():
         raise InputError(f"{path}: trailing bytes after index payload")
+
+    try:
+        tables, total = count_groups(bags, parent, candidates)
+    except InternalError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
     return AccessIndex(
         query=q,
         order=order,
         dictionary=dictionary,
         var_types=var_types,
-        bags=tuple(bags),
+        bags=bags,
         parent=parent,
-        tables=tuple(tables),
+        tables=tables,
         total_count=total,
         stats={},
     )

@@ -63,12 +63,15 @@ class ValueDictionary:
         self._codes: dict[tuple[str, object], int] = {}
         self._values: list[tuple[str, object]] = []
         self.pool_values: dict[str, list] = {}
+        self._pool_codes: dict[str, range] = {}
         for type_name in sorted(pools):
             ordered = sorted(set(pools[type_name]))
             self.pool_values[type_name] = ordered
+            start = len(self._values)
             for v in ordered:
                 self._codes[(type_name, v)] = len(self._values)
                 self._values.append((type_name, v))
+            self._pool_codes[type_name] = range(start, len(self._values))
 
     def __len__(self) -> int:
         return len(self._values)
@@ -85,8 +88,9 @@ class ValueDictionary:
     def decode(self, code: int):
         return self._values[code][1]
 
-    def decode_typed(self, code: int) -> tuple[str, object]:
-        return self._values[code]
+    def pool_codes(self, type_name: str) -> range:
+        """The codes of one type's values; empty when the type has no values."""
+        return self._pool_codes.get(type_name, range(0))
 
 
 class Relation:
@@ -177,11 +181,13 @@ def load(manifest_path: str | Path) -> Database:
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise InputError(f"manifest not found: {manifest_path}") from None
+    except OSError as exc:
+        raise InputError(f"cannot read manifest {manifest_path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise InputError(f"manifest {manifest_path} is not valid UTF-8") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"bad manifest {manifest_path}: {exc}") from None
-    if not isinstance(manifest, dict) or "relations" not in manifest:
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("relations"), dict):
         raise InputError(f"manifest {manifest_path} lacks a 'relations' object")
     base = manifest_path.parent
     raw: dict[str, tuple[Sequence[str], list[tuple]]] = {}
@@ -190,24 +196,31 @@ def load(manifest_path: str | Path) -> Database:
             file_name = entry["file"]
         except (KeyError, TypeError):
             raise InputError(f"manifest entry for {symbol} needs a 'file'") from None
+        if not isinstance(file_name, str):
+            raise InputError(f"manifest entry for {symbol}: 'file' must be a string")
         types = entry.get("types")
         if types is not None:
+            if not isinstance(types, list) or not all(isinstance(t, str) for t in types):
+                raise InputError(f"manifest entry for {symbol}: 'types' must be a list of names")
             types = [normalize_type(t) for t in types]
         path = base / file_name
-        if not path.exists():
-            raise InputError(f"relation file not found: {path}")
         rows: list[tuple] = []
-        with open(path, newline="", encoding="utf-8") as fh:
-            for lineno, record in enumerate(csv.reader(fh), start=1):
-                if not record:
-                    continue
-                if types is None:  # undeclared columns default to strings
-                    types = [TYPE_STRING] * len(record)
-                if len(record) != len(types):
-                    raise InputError(
-                        f"{path}:{lineno}: expected {len(types)} fields, got {len(record)}"
-                    )
-                rows.append(tuple(_parse_value(f, t) for f, t in zip(record, types)))
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                for lineno, record in enumerate(csv.reader(fh), start=1):
+                    if not record:
+                        continue
+                    if types is None:  # undeclared columns default to strings
+                        types = [TYPE_STRING] * len(record)
+                    if len(record) != len(types):
+                        raise InputError(
+                            f"{path}:{lineno}: expected {len(types)} fields, got {len(record)}"
+                        )
+                    rows.append(tuple(_parse_value(f, t) for f, t in zip(record, types)))
+        except OSError as exc:
+            raise InputError(f"cannot read relation file {path}: {exc.strerror}") from None
+        except UnicodeDecodeError:
+            raise InputError(f"relation file {path} is not valid UTF-8") from None
         if types is None:
             raise InputError(
                 f"relation {symbol}: cannot infer arity of an empty file; declare 'types'"

@@ -150,6 +150,46 @@ def test_missing_manifest_exit_2(workdir, capsys):
     assert code == 2
 
 
+def _build_with_manifest(d, relations):
+    (d / "bad.json").write_text(json.dumps({"relations": relations}))
+    return ["build", "-q", d / "q.jq", "-m", d / "bad.json", "-o", d / "x.idx"]
+
+
+def _probe_query_not_utf8(d):
+    (d / "bad.jq").write_bytes(b"Q(x) :- R(x). # \xe9\n")
+    return ["analyze", d / "bad.jq"]
+
+
+def _probe_csv_not_utf8(d):
+    (d / "R.csv").write_bytes(b"caf\xe9\n")
+    return _build_with_manifest(d, {"R": {"file": "R.csv"}, "S": {"file": "S.csv"}})
+
+
+# Each builds its bad input in the work directory and returns the command line.
+BOUNDARY_PROBES = {
+    "out-in-missing-dir": (
+        lambda d: ["build", "-q", d / "q.jq", "-m", d / "manifest.json", "-o", d / "no" / "x.idx"],
+        "cannot write index file",
+    ),
+    "index-is-directory": (lambda d: ["count", "-i", d], "cannot read index file"),
+    "query-not-utf8": (_probe_query_not_utf8, "not valid UTF-8"),
+    "csv-not-utf8": (_probe_csv_not_utf8, "not valid UTF-8"),
+    "relations-not-object": (lambda d: _build_with_manifest(d, []), "lacks a 'relations' object"),
+    "types-not-list": (
+        lambda d: _build_with_manifest(d, {"R": {"file": "R.csv", "types": "int"}}),
+        "'types' must be a list",
+    ),
+}
+
+
+@pytest.mark.parametrize("probe", list(BOUNDARY_PROBES))
+def test_bad_input_boundary_exit_2(workdir, capsys, probe):
+    make_argv, message = BOUNDARY_PROBES[probe]
+    code, _, err = run(capsys, *make_argv(workdir))
+    assert code == 2
+    assert message in err
+
+
 @pytest.mark.parametrize("family", ["star", "setdisj", "zeroclique", "lw"])
 def test_gen_families_deterministic(tmp_path, capsys, family):
     d1, d2 = tmp_path / "g1", tmp_path / "g2"

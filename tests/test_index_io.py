@@ -6,7 +6,8 @@ import pytest
 from lexjoin import build_database
 from lexjoin.access import build_index
 from lexjoin.cli import main
-from lexjoin.errors import InputError
+from lexjoin.errors import InputError, LexjoinError
+from lexjoin.hardness import star_query
 from lexjoin.index_io import MAGIC, load_index, save_index
 from lexjoin.oracle import materialize_sorted
 from lexjoin.query import format_query, parse_query
@@ -59,6 +60,10 @@ def test_roundtrip_random_instances(tmp_path):
         assert loaded.count() == expected.count
         for j, row in enumerate(expected.rows):
             assert loaded.access(j) == row
+        assert loaded.tables == ix.tables
+        resaved = tmp_path / f"t{trial}.again.idx"
+        save_index(loaded, resaved)
+        assert resaved.read_bytes() == path.read_bytes()
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -92,27 +97,74 @@ def test_truncation_rejected(tmp_path):
         load_index(path)
 
 
-def rewrite_first_bag_byte(path, q, order, field, value):
-    """Set a byte of bag 0 (0 member count, 1 first member, 2 parent) and re-seal the CRC."""
-    payload = bytearray(path.read_bytes()[:-4])
-    text = format_query(q, order).encode("utf-8")
-    # After the query text: one type tag per variable, then the one-byte bag count.
-    offset = payload.index(text) + len(text) + len(order.variables) + 1
-    assert payload[offset : offset + 3] == bytes((1, 0, 0))  # {z}, a root
-    payload[offset + field] = value
-    path.write_bytes(bytes(payload) + zlib.crc32(payload).to_bytes(4, "little"))
+# The groups section of sample_index's file, per bag in order:
+# {z}: one group, candidates 3, 4 (z = 5, 7);
+# {z, y}: groups 3 -> [5], 4 -> [6] (y = "a", "b");
+# {y, x}: groups 5 -> [0, 1], 6 -> [1, 2] (x = -4, 1, 2).
+SAMPLE_GROUPS = bytes((1, 2, 3, 1, 2, 3, 1, 5, 4, 1, 6, 2, 5, 2, 0, 1, 6, 2, 1, 1))
+
+# One byte rewrite each: (offset into the groups section, or None for the
+# magic's version digit; new byte; error message).
+CORRUPTIONS = {
+    "ljda1-magic": (None, ord("1"), "unsupported index format"),
+    "zero-gap": (3, 0, "not strictly increasing"),
+    "empty-group": (13, 0, "empty group"),
+    "code-outside-pool": (2, 5, "outside the int pool"),
+    "missing-child-group": (16, 7, "no group in child bag"),
+    "unordered-groups": (5, 5, "not in increasing order"),
+}
 
 
-@pytest.mark.parametrize("field, value", [(1, 9), (2, 5)], ids=["member", "parent"])
-def test_out_of_range_bag_pointer_rejected(tmp_path, capsys, field, value):
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_resealed_corruption_rejected(tmp_path, capsys, case):
+    offset, value, message = CORRUPTIONS[case]
     q, order, _, ix = sample_index()
     path = tmp_path / "bad.idx"
     save_index(ix, path)
-    rewrite_first_bag_byte(path, q, order, field, value)
-    with pytest.raises(InputError, match="out of range"):
+    payload = bytearray(path.read_bytes()[:-4])
+    if offset is None:
+        offset = len(MAGIC) - 1
+    else:
+        text = format_query(q, order).encode("utf-8")
+        groups = payload.index(text) + len(text) + len(order.variables)
+        assert payload[groups:] == SAMPLE_GROUPS
+        offset += groups
+    payload[offset] = value
+    path.write_bytes(bytes(payload) + zlib.crc32(payload).to_bytes(4, "little"))
+    with pytest.raises(InputError, match=message):
         load_index(path)
     assert main(["count", "-i", str(path)]) == 2
-    assert "out of range" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+def test_fuzzed_index_bytes_load_consistently_or_fail_cleanly(tmp_path):
+    q, order = star_query(2)
+    db = build_database(
+        {
+            "R1": (["int", "string"], [(1, "a"), (2, "a"), (2, "bé"), (3, "c"), (4, "bé")]),
+            "R2": (["int", "string"], [(5, "a"), (6, "bé"), (7, "bé"), (8, "d")]),
+        }
+    )
+    path = tmp_path / "star.idx"
+    save_index(build_index(q, order, db), path)
+    payload = path.read_bytes()[:-4]
+    rng = random.Random(2024)
+    loaded = 0
+    for _ in range(3000):
+        mutated = bytearray(payload)
+        pos = rng.randrange(len(mutated))
+        mutated[pos] ^= rng.randrange(1, 256)
+        path.write_bytes(bytes(mutated) + zlib.crc32(mutated).to_bytes(4, "little"))
+        try:
+            ix = load_index(path)
+        except LexjoinError:
+            continue
+        loaded += 1
+        n = ix.count()
+        probes = {0, n - 1, *(rng.randrange(n) for _ in range(3))} if n else set()
+        for j in probes:
+            assert ix.rank(ix.access(j)) == j, (pos, mutated[pos], j)
+    assert loaded > 0
 
 
 def test_loaded_index_supports_membership(tmp_path):
