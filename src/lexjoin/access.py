@@ -7,14 +7,15 @@ Build phase, driven by the order-induced decomposition:
    fractional cover (a single projection when one atom already covers the
    bag, which is exactly the cheap case);
 2. each bag is semijoined with every atom whose scope it contains;
-3. a full reducer sweep over the join forest (children into parents bottom
-   up, parents into children top down) so that every surviving tuple extends
-   to a full answer;
+3. each bag's sorted rows become a map from interface (all columns except
+   the bag's own variable) to sorted candidates, and the full reducer runs on
+   these maps over the join forest: bottom up, a candidate stays when every
+   child has its group; top down, a child group stays when some candidate of
+   its parent reaches it.  Every surviving candidate extends to an answer;
 4. a counting pass from the last bag backwards, shared with load
-   (``count_groups``): each bag's sorted candidates, grouped by interface (all
-   columns except the bag's own variable), get prefix sums of completion
-   counts, where a tuple's completion count is the product of its children's
-   group totals.  A saved index therefore holds candidates only.
+   (``count_groups``): each group's candidates get prefix sums of completion
+   counts, where a candidate's completion count is the product of its
+   children's group totals.  A saved index therefore holds candidates only.
 
 An access then walks the variables in order.  At each variable the pending
 groups (one per bag whose interface is fully assigned but whose variable is
@@ -45,7 +46,7 @@ from . import storage
 from .decomposition import Decomposition, decompose
 from .errors import InputError, InternalError, NotAnAnswerError, OutOfBoundsError
 from .query import JoinQuery, VariableOrder
-from .storage import Database, Relation
+from .storage import Database
 from .wcoj import SubQuery, _collapse_repeats, generic_join
 
 
@@ -75,22 +76,13 @@ class AccessIndex:
     stats: dict = field(default_factory=dict)
 
     # Derived navigation, filled in __post_init__.
-    children: tuple[tuple[int, ...], ...] = ()
-    iface_pos: tuple[tuple[int, ...], ...] = ()
+    links: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...] = ()
     roots: tuple[int, ...] = ()
     head_cols: tuple[int, ...] = ()
 
     def __post_init__(self):
-        n = len(self.bags)
-        kids: list[list[int]] = [[] for _ in range(n)]
-        for c, p in self.parent.items():
-            if p is not None:
-                kids[p].append(c)
-        self.children = tuple(tuple(sorted(k)) for k in kids)
-        self.iface_pos = tuple(
-            tuple(self.order.position(v) for v in bag[:-1]) for bag in self.bags
-        )
-        self.roots = tuple(i for i in range(n) if self.parent[i] is None)
+        self.links = child_links(self.bags, self.parent)
+        self.roots = tuple(i for i in range(len(self.bags)) if self.parent[i] is None)
         self.head_cols = tuple(self.order.position(v) for v in self.query.variables)
 
     # ------------------------------------------------------------------ #
@@ -113,15 +105,16 @@ class AccessIndex:
             keys[root] = ()
         assignment = [0] * n
         for i in range(n):
-            values, prefix = self.tables[i].groups[keys[i]]
+            key = keys[i]
+            values, prefix = self.tables[i].groups[key]
             block = live // prefix[-1]
             idx = bisect_right(prefix, r // block)
             below = prefix[idx - 1] if idx else 0
             r -= block * below
-            assignment[i] = values[idx]
+            value = assignment[i] = values[idx]
             live = block * (prefix[idx] - below)
-            for c in self.children[i]:
-                keys[c] = tuple(assignment[p] for p in self.iface_pos[c])
+            for c, cols in self.links[i]:
+                keys[c] = (*map(key.__getitem__, cols), value)
         return tuple(assignment)
 
     def access(self, j: int) -> tuple:
@@ -144,7 +137,8 @@ class AccessIndex:
         for root in self.roots:
             keys[root] = ()
         for i in range(n):
-            entry = self.tables[i].groups.get(keys[i])
+            key = keys[i]
+            entry = self.tables[i].groups.get(key)
             if entry is None:
                 raise NotAnAnswerError(f"no completion at variable {self.order.variables[i]}")
             values, prefix = entry
@@ -155,8 +149,8 @@ class AccessIndex:
             below = prefix[idx - 1] if idx else 0
             r += block * below
             live = block * (prefix[idx] - below)
-            for c in self.children[i]:
-                keys[c] = tuple(codes[p] for p in self.iface_pos[c])
+            for c, cols in self.links[i]:
+                keys[c] = (*map(key.__getitem__, cols), codes[i])
         return r
 
     def prefix_range(self, codes: Sequence[int]) -> tuple[int, int]:
@@ -176,7 +170,8 @@ class AccessIndex:
         for root in self.roots:
             keys[root] = ()
         for i, code in enumerate(codes):
-            values, prefix = self.tables[i].groups[keys[i]]
+            key = keys[i]
+            values, prefix = self.tables[i].groups[key]
             idx = bisect_left(values, code)
             block = live // prefix[-1]
             below = prefix[idx - 1] if idx else 0
@@ -184,8 +179,8 @@ class AccessIndex:
             if idx == len(values) or values[idx] != code:
                 return (r, r)
             live = block * (prefix[idx] - below)
-            for c in self.children[i]:
-                keys[c] = tuple(codes[p] for p in self.iface_pos[c])
+            for c, cols in self.links[i]:
+                keys[c] = (*map(key.__getitem__, cols), code)
         return (r, r + live)
 
     def _encode_head_tuple(self, t: Sequence) -> list[int] | None:
@@ -261,6 +256,23 @@ def ordered_bags(
     return tuple(tuple(sorted(bag, key=order.position)) for bag in bags)
 
 
+def child_links(
+    bags: Sequence[tuple[str, ...]], parent: dict[int, int | None]
+) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
+    """Per bag, its children in order, each with the key columns it takes.
+
+    A child hangs under the bag of its latest interface variable, so its key
+    is part of the parent's key followed by the parent's candidate:
+    ``tuple(key[k] for k in cols) + (value,)``.
+    """
+    links: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in bags]
+    for c, bag in enumerate(bags):
+        p = parent[c]
+        if p is not None:
+            links[p].append((c, tuple(bags[p].index(v) for v in bag[:-2])))
+    return tuple(map(tuple, links))
+
+
 def count_groups(
     bags: Sequence[tuple[str, ...]],
     parent: dict[int, int | None],
@@ -272,19 +284,13 @@ def count_groups(
     candidates.  A candidate with no group in some child bag is an InternalError.
     """
     n = len(bags)
+    links = child_links(bags, parent)
     tables: list[GroupTable | None] = [None] * n
     for i in range(n - 1, -1, -1):
-        col_of = {v: k for k, v in enumerate(bags[i])}
-        # A child hangs under the bag of its latest interface variable, so its
-        # key is part of bag i's group key followed by the candidate.
-        links = [
-            (c, tables[c].groups, tuple(col_of[v] for v in bags[c][:-2]))
-            for c in range(i + 1, n)
-            if parent[c] == i
-        ]
+        kids = [(c, tables[c].groups, cols) for c, cols in links[i]]
         groups: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
         for key, values in candidates[i].items():
-            heads = [(c, child, tuple(key[k] for k in cols)) for c, child, cols in links]
+            heads = [(c, child, tuple(key[k] for k in cols)) for c, child, cols in kids]
             prefix: list[int] = []
             running = 0
             for value in values:
@@ -328,7 +334,7 @@ def build_index(q: JoinQuery, order: VariableOrder, db: Database) -> AccessIndex
     # Views over distinct variables: rows where repeated-variable columns agree.
     atoms = [_collapse_repeats(db.relation(sym), vs) for sym, vs in q.atoms]
 
-    relations: list[Relation] = []
+    candidates: list[dict[tuple[int, ...], list[int]]] = []
     for i in range(n):
         bag = decomp.bags[i]
         keep = bag_vars[i]
@@ -359,37 +365,31 @@ def build_index(q: JoinQuery, order: VariableOrder, db: Database) -> AccessIndex
             if set(vs) <= bag:
                 pairs = [(col_of[v], c) for c, v in enumerate(vs)]
                 b = storage.semijoin(b, rel, pairs)
-        relations.append(b)
+        # Sorted rows group by interface with their candidates already sorted.
+        candidates.append(
+            {key: [row[-1] for row in rows] for key, rows in groupby(b.rows, lambda row: row[:-1])}
+        )
 
-    children: list[list[int]] = [[] for _ in range(n)]
-    for c, p in decomp.parent.items():
-        if p is not None:
-            children[p].append(c)
-
-    # Full reducer: pull each child's interface into its parent from the
-    # leaves down to bag 0, then push parents back into children.
+    # Full reducer on the candidate maps: leaves up, then roots down.
+    links = child_links(bag_vars, decomp.parent)
     for i in range(n - 1, -1, -1):
-        keep = bag_vars[i]
-        col_of = {v: c for c, v in enumerate(keep)}
-        for c in sorted(children[i]):
-            iface = bag_vars[c][:-1]
-            proj = storage.project(relations[c], list(range(len(iface))))
-            relations[i] = storage.semijoin(
-                relations[i], proj, [(col_of[v], k) for k, v in enumerate(iface)]
-            )
+        if links[i]:
+            reduced = {}
+            for key, values in candidates[i].items():
+                heads = [(candidates[c], tuple(key[k] for k in cols)) for c, cols in links[i]]
+                kept = [v for v in values if all(h + (v,) in child for child, h in heads)]
+                if kept:
+                    reduced[key] = kept
+            candidates[i] = reduced
     for i in range(n):
-        col_of = {v: c for c, v in enumerate(bag_vars[i])}
-        for c in sorted(children[i]):
-            iface = bag_vars[c][:-1]
-            relations[c] = storage.semijoin(
-                relations[c], relations[i], [(k, col_of[v]) for k, v in enumerate(iface)]
-            )
+        for c, cols in links[i]:
+            reached = {
+                tuple(key[k] for k in cols) + (v,)
+                for key, values in candidates[i].items()
+                for v in values
+            }
+            candidates[c] = {key: vs for key, vs in candidates[c].items() if key in reached}
 
-    # Sorted rows group by interface with their candidates already sorted.
-    candidates = [
-        {key: [row[-1] for row in rows] for key, rows in groupby(rel.rows, lambda row: row[:-1])}
-        for rel in relations
-    ]
     tables, total = count_groups(bag_vars, decomp.parent, candidates)
 
     return AccessIndex(
@@ -403,7 +403,7 @@ def build_index(q: JoinQuery, order: VariableOrder, db: Database) -> AccessIndex
         total_count=total,
         stats={
             "multiatom_joins": multiatom_joins,
-            "bag_rows": [len(r) for r in relations],
+            "bag_rows": [sum(map(len, groups.values())) for groups in candidates],
             "iota": str(decomp.iota),
         },
     )

@@ -88,10 +88,6 @@ class Hypergraph:
         except KeyError:
             raise InputError(f"unknown vertex {v!r}") from None
 
-    def sort_key(self, vs: Iterable[str]) -> tuple[int, ...]:
-        """Deterministic key for an edge: sorted vertex positions."""
-        return tuple(sorted(self.position(v) for v in vs))
-
     def sorted_vertices(self, vs: Iterable[str]) -> list[str]:
         return sorted(vs, key=self.position)
 

@@ -166,17 +166,22 @@ def save_index(ix: AccessIndex, path: str | Path) -> None:
 def load_index(path: str | Path) -> AccessIndex:
     """Load an index saved by :func:`save_index`; fails loudly on any mismatch."""
     try:
-        blob = Path(path).read_bytes()
+        return _decode(Path(path).read_bytes())
     except OSError as exc:
         raise InputError(f"{path}: cannot read index file: {exc.strerror}") from None
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
+def _decode(blob: bytes) -> AccessIndex:
+    """The index held in a file's bytes; load_index adds the file name to errors."""
     if len(blob) < len(MAGIC) + 4:
-        raise InputError(f"{path}: not an index file")
+        raise InputError("not an index file")
     payload, crc = blob[:-4], blob[-4:]
     if zlib.crc32(payload).to_bytes(4, "little") != crc:
-        raise InputError(f"{path}: checksum mismatch, file corrupt")
+        raise InputError("checksum mismatch, file corrupt")
     if not payload.startswith(MAGIC):
-        head = payload[: len(MAGIC)]
-        raise InputError(f"{path}: unsupported index format {head!r}, expected {MAGIC!r}")
+        raise InputError(f"unsupported index format {payload[: len(MAGIC)]!r}, expected {MAGIC!r}")
     r = _Reader(payload)
     r.take(len(MAGIC))
 
@@ -206,25 +211,23 @@ def load_index(path: str | Path) -> AccessIndex:
         for _ in range(r.uvarint()):
             key = tuple(r.uvarint() for _ in range(len(bag) - 1))
             if last_key is not None and key <= last_key:
-                raise InputError(f"{path}: bag {i} groups are not in increasing order")
+                raise InputError(f"bag {i} groups are not in increasing order")
             last_key = key
             count = r.uvarint()
             if count == 0:
-                raise InputError(f"{path}: bag {i} has an empty group")
+                raise InputError(f"bag {i} has an empty group")
             values = r.increasing(r.uvarint(), count)
             if values[0] not in pool or values[-1] not in pool:
-                raise InputError(
-                    f"{path}: bag {i} candidate code outside the {var_types[bag[-1]]} pool"
-                )
+                raise InputError(f"bag {i} candidate code outside the {var_types[bag[-1]]} pool")
             groups[key] = values
         candidates.append(groups)
     if not r.at_end():
-        raise InputError(f"{path}: trailing bytes after index payload")
+        raise InputError("trailing bytes after index payload")
 
     try:
         tables, total = count_groups(bags, parent, candidates)
     except InternalError as exc:
-        raise InputError(f"{path}: {exc}") from None
+        raise InputError(str(exc)) from None
 
     return AccessIndex(
         query=q,

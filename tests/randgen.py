@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
 from lexjoin import JoinQuery, VariableOrder, build_database
 from lexjoin.hypergraph import Hypergraph
@@ -107,3 +108,20 @@ def random_subquery_instance(rng: random.Random, max_vars: int = 4):
             atoms.append((sym, (v,)))
     db = build_database(raw)
     return SubQuery(tuple(variables), tuple(atoms)), db
+
+
+def mutate(rng: random.Random, data: bytes, tokens: Sequence[bytes], edits: int = 3) -> bytes:
+    """data after 1..edits random edits: overwrite, insert or delete bytes, or splice a token."""
+    out = bytearray(data)
+    for _ in range(rng.randint(1, edits)):
+        pos = rng.randrange(len(out) + 1)
+        op = rng.randrange(4)
+        if op == 0 and pos < len(out):
+            out[pos] = rng.randrange(256)
+        elif op == 1:
+            out.insert(pos, rng.randrange(256))
+        elif op == 2:
+            del out[pos : pos + rng.randint(1, 4)]
+        else:
+            out[pos:pos] = rng.choice(tokens)
+    return bytes(out)

@@ -170,6 +170,24 @@ def test_counting_consistency_at_the_top_level():
     assert total == ix.count()
 
 
+def test_full_reduction_keeps_exactly_the_answer_projections():
+    # Every stored bag row extends to an answer, and every answer's projection
+    # onto a bag is stored.  Empty results are left out: with several roots,
+    # a tree keeps its rows even when another tree has no answers.
+    checked = 0
+    for seed in range(120):
+        q, order, db, ix = built_random(seed)
+        rows = materialize_codes(q, order, db)
+        if not rows:
+            continue
+        checked += 1
+        for bag, table in zip(ix.bags, ix.tables):
+            cols = [order.position(v) for v in bag]
+            stored = {key + (v,) for key, (values, _) in table.groups.items() for v in values}
+            assert stored == {tuple(row[c] for c in cols) for row in rows}, (seed, bag)
+    assert checked >= 40
+
+
 def test_cyclic_query_with_trios_full_walk():
     q, order = parse_query(FIVE_TEXT)
     rng = random.Random(31)

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from lexjoin.cli import main
+from tests import src_env
 
 FIVE_TEXT = "Q(x1,x2,x3,x4,x5) :- R1(x1,x5), R2(x2,x4), R3(x3,x4), R4(x3,x5).\n"
 
@@ -227,7 +228,7 @@ def test_gen_star_builds_and_counts(tmp_path, capsys):
 
 def test_console_entry_point_runs():
     proc = subprocess.run(
-        [sys.executable, "-m", "lexjoin", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "lexjoin", "--help"], env=src_env(), capture_output=True, text=True
     )
     assert proc.returncode == 0
     assert "analyze" in proc.stdout

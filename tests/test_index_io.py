@@ -66,17 +66,6 @@ def test_roundtrip_random_instances(tmp_path):
         assert resaved.read_bytes() == path.read_bytes()
 
 
-def test_bad_magic_rejected(tmp_path):
-    path = tmp_path / "bad.idx"
-    _, _, _, ix = sample_index()
-    save_index(ix, path)
-    blob = bytearray(path.read_bytes())
-    blob[: len(MAGIC)] = b"LJDA9"
-    path.write_bytes(bytes(blob))
-    with pytest.raises(InputError):
-        load_index(path)
-
-
 def test_corruption_rejected(tmp_path):
     path = tmp_path / "corrupt.idx"
     _, _, _, ix = sample_index()
@@ -103,38 +92,40 @@ def test_truncation_rejected(tmp_path):
 # {y, x}: groups 5 -> [0, 1], 6 -> [1, 2] (x = -4, 1, 2).
 SAMPLE_GROUPS = bytes((1, 2, 3, 1, 2, 3, 1, 5, 4, 1, 6, 2, 5, 2, 0, 1, 6, 2, 1, 1))
 
-# One byte rewrite each: (offset into the groups section, or None for the
-# magic's version digit; new byte; error message).
+# One byte rewrite each: (section, offset into it, new byte, error message).
+# The query text of sample_index is "Q(x, y, z) :- R(x, y), S(y, z).\nORDER z, y, x".
 CORRUPTIONS = {
-    "ljda1-magic": (None, ord("1"), "unsupported index format"),
-    "zero-gap": (3, 0, "not strictly increasing"),
-    "empty-group": (13, 0, "empty group"),
-    "code-outside-pool": (2, 5, "outside the int pool"),
-    "missing-child-group": (16, 7, "no group in child bag"),
-    "unordered-groups": (5, 5, "not in increasing order"),
+    "ljda1-magic": ("magic", len(MAGIC) - 1, ord("1"), "unsupported index format"),
+    "ljda9-magic": ("magic", len(MAGIC) - 1, ord("9"), "unsupported index format"),
+    "query-text": ("query", 11, ord("="), "1:12: expected ':-'"),
+    "zero-gap": ("groups", 3, 0, "not strictly increasing"),
+    "empty-group": ("groups", 13, 0, "empty group"),
+    "code-outside-pool": ("groups", 2, 5, "outside the int pool"),
+    "missing-child-group": ("groups", 16, 7, "no group in child bag"),
+    "unordered-groups": ("groups", 5, 5, "not in increasing order"),
+    "truncated": ("groups", 17, 9, "index file truncated"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
 def test_resealed_corruption_rejected(tmp_path, capsys, case):
-    offset, value, message = CORRUPTIONS[case]
+    section, offset, value, message = CORRUPTIONS[case]
     q, order, _, ix = sample_index()
     path = tmp_path / "bad.idx"
     save_index(ix, path)
     payload = bytearray(path.read_bytes()[:-4])
-    if offset is None:
-        offset = len(MAGIC) - 1
-    else:
-        text = format_query(q, order).encode("utf-8")
-        groups = payload.index(text) + len(text) + len(order.variables)
-        assert payload[groups:] == SAMPLE_GROUPS
-        offset += groups
-    payload[offset] = value
+    text = format_query(q, order).encode("utf-8")
+    groups = payload.index(text) + len(text) + len(order.variables)
+    assert payload[groups:] == SAMPLE_GROUPS
+    start = {"magic": 0, "query": payload.index(text), "groups": groups}[section]
+    payload[start + offset] = value
     path.write_bytes(bytes(payload) + zlib.crc32(payload).to_bytes(4, "little"))
-    with pytest.raises(InputError, match=message):
+    with pytest.raises(InputError, match=message) as caught:
         load_index(path)
+    assert str(path) in str(caught.value)
     assert main(["count", "-i", str(path)]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and str(path) in err
 
 
 def test_fuzzed_index_bytes_load_consistently_or_fail_cleanly(tmp_path):

@@ -3,14 +3,14 @@ import random
 import pytest
 
 from lexjoin import JoinQuery, VariableOrder
-from lexjoin.errors import InputError, ParseError
+from lexjoin.errors import InputError, LexjoinError, ParseError
 from lexjoin.query import (
     disruptive_trios,
     format_query,
     hypergraph_of,
     parse_query,
 )
-from tests.randgen import random_query
+from tests.randgen import mutate, random_query
 
 FIVE_TEXT = "Q(x1,x2,x3,x4,x5) :- R1(x1,x5), R2(x2,x4), R3(x3,x4), R4(x3,x5)."
 
@@ -90,6 +90,26 @@ def test_roundtrip_random_queries():
         q2, order2 = parse_query(text)
         assert q2 == q
         assert order2 == order
+
+
+def test_fuzzed_query_text_fails_cleanly():
+    # Only LexjoinError may escape the parser, whatever the text.
+    seeds = [
+        FIVE_TEXT,
+        "Q(x,y,z) :- R(x,y), S(y,z), R(z,z).\nORDER z, y, x  # c",
+        "A(_é) :- B(_é).",
+    ]
+    tokens = [b"(", b")", b",", b".", b":-", b"ORDER", b"#", b"\n", b" ", b"x", "é".encode()]
+    rng = random.Random(5)
+    parsed = 0
+    for _ in range(5000):
+        data = mutate(rng, rng.choice(seeds).encode("utf-8"), tokens)
+        try:
+            parse_query(data.decode("utf-8", errors="replace"))
+        except LexjoinError:
+            continue
+        parsed += 1
+    assert 0 < parsed < 5000
 
 
 def test_trio_definition_instance():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from lexjoin.errors import InputError
+from lexjoin.errors import InputError, LexjoinError
 from lexjoin.storage import (
     Relation,
     build_database,
@@ -11,6 +11,7 @@ from lexjoin.storage import (
     project,
     semijoin,
 )
+from tests.randgen import mutate
 
 
 def write_manifest(tmp_path, relations):
@@ -168,3 +169,50 @@ def test_empty_file_without_types_rejected(tmp_path):
     )
     with pytest.raises(InputError):
         load(tmp_path / "manifest.json")
+
+
+def fuzz_load(path, mutants):
+    """Load after writing each mutant to path; only LexjoinError may escape."""
+    loaded = 0
+    for data in mutants:
+        path.write_bytes(data)
+        try:
+            load(path.parent / "manifest.json")
+        except LexjoinError:
+            continue
+        loaded += 1
+    assert 0 < loaded < len(mutants)
+
+
+def replace_node(rng, doc, values):
+    """A copy of a JSON document with one random node replaced by one of values."""
+    if not isinstance(doc, (dict, list)) or not doc or rng.random() < 0.3:
+        return rng.choice(values)
+    doc = doc.copy()
+    key = rng.choice(list(doc) if isinstance(doc, dict) else range(len(doc)))
+    doc[key] = replace_node(rng, doc[key], values)
+    return doc
+
+
+def test_fuzzed_manifest_fails_cleanly(tmp_path):
+    path = write_manifest(tmp_path, {"R": (["int", "string"], "1,a\n"), "S": (["str"], "b\n")})
+    original = path.read_bytes()
+    tokens = [b'"', b"{", b"}", b"[", b"]", b":", b",", b"null", b"1", b"\\", b"\xff",
+              b'"int"', b'"file"', b'"types"', b'"relations"', b'"R.csv"', b'"."', b'""']
+    values = [None, 1, -1, 2.5, True, "", ".", "int", "R.csv", [], ["int"], {}, {"file": "S.csv"}]
+    rng = random.Random(6)
+    mutants = [mutate(rng, original, tokens) for _ in range(2000)]
+    doc = json.loads(original)
+    mutants += [json.dumps(replace_node(rng, doc, values)).encode() for _ in range(1000)]
+    fuzz_load(path, mutants)
+
+
+def test_fuzzed_csv_fails_cleanly(tmp_path):
+    write_manifest(tmp_path, {"R": (["int", "string"], '1,a\n-2,"b,\n"\n'), "S": (None, "b,c\n")})
+    tokens = [b",", b'"', b"\n", b"\r\n", b"-", b"9" * 30, b"\x00", b"\xff", "é".encode(), b" "]
+    rng = random.Random(7)
+    for name in ("R", "S"):
+        path = tmp_path / f"{name}.csv"
+        original = path.read_bytes()
+        fuzz_load(path, [mutate(rng, original, tokens) for _ in range(1500)])
+        path.write_bytes(original)
