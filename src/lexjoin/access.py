@@ -2,11 +2,11 @@
 
 Build phase, driven by the order-induced decomposition:
 
-1. one relation per bag, materialized with the generic join over the
-   projections of the atoms that carry positive weight in the bag's optimal
-   fractional cover (a single projection when one atom already covers the
-   bag, which is exactly the cheap case);
-2. each bag is semijoined with every atom whose scope it contains;
+1. one relation per bag, from its optimal fractional edge cover: each
+   positive edge is a view of the first atom meeting the bag in exactly that
+   edge (projected unless already in bag order).  One edge is the whole bag,
+   the cheap rho* = 1 case; two or more views go to the generic join;
+2. each bag is semijoined with the atoms inside it that own none of its edges;
 3. each bag's sorted rows become a map from interface (all columns except
    the bag's own variable) to sorted candidates, and the full reducer runs on
    these maps over the join forest: bottom up, a candidate stays when every
@@ -338,33 +338,30 @@ def build_index(q: JoinQuery, order: VariableOrder, db: Database) -> AccessIndex
     for i in range(n):
         bag = decomp.bags[i]
         keep = bag_vars[i]
-        covering = next(((rel, vs) for rel, vs in atoms if bag <= set(vs)), None)
-        if covering is not None:
-            rel, vs = covering
-            b = storage.project(rel, [vs.index(v) for v in keep])
+        # One view per positive cover edge, from the first atom meeting the bag
+        # in exactly that edge; an atom whose whole scope is the edge is its owner.
+        views, owners = [], set()
+        for edge in decomp.bag_cover[i].positive_edges():
+            a = next((a for a, (_, vs) in enumerate(atoms) if bag.intersection(vs) == edge), None)
+            if a is None:
+                raise InternalError(f"no atom generates cover edge {sorted(edge)}")
+            rel, vs = atoms[a]
+            edge_keep = tuple(sorted(edge, key=order.position))
+            if vs != edge_keep:
+                rel = storage.project(rel, [vs.index(v) for v in edge_keep])
+            if len(vs) == len(edge):
+                owners.add(a)
+            views.append((rel, edge_keep))
+        if len(views) == 1:  # a single edge is the whole bag
+            b = views[0][0]
         else:
-            views = []
-            for edge in decomp.bag_cover[i].positive_edges():
-                owner = next(
-                    ((rel, vs) for rel, vs in atoms if (set(vs) & bag) == edge), None
-                )
-                if owner is None:
-                    raise InternalError(f"no atom generates cover edge {sorted(edge)}")
-                rel, vs = owner
-                edge_keep = tuple(sorted(edge, key=order.position))
-                views.append(
-                    (storage.project(rel, [vs.index(v) for v in edge_keep]), edge_keep)
-                )
-            if len(views) < 2:
-                raise InternalError("multi-atom path reached with fewer than two views")
-            sq = SubQuery(keep, tuple(views))
-            b = generic_join(sq, None, keep)
+            b = generic_join(SubQuery(keep, tuple(views)), None, keep)
             multiatom_joins += 1
+        # Owners' rows already bound b; by position, as self-joins share a Relation.
         col_of = {v: c for c, v in enumerate(keep)}
-        for rel, vs in atoms:
-            if set(vs) <= bag:
-                pairs = [(col_of[v], c) for c, v in enumerate(vs)]
-                b = storage.semijoin(b, rel, pairs)
+        for a, (rel, vs) in enumerate(atoms):
+            if a not in owners and bag.issuperset(vs):
+                b = storage.semijoin(b, rel, [(col_of[v], c) for c, v in enumerate(vs)])
         # Sorted rows group by interface with their candidates already sorted.
         candidates.append(
             {key: [row[-1] for row in rows] for key, rows in groupby(b.rows, lambda row: row[:-1])}

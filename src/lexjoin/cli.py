@@ -39,13 +39,7 @@ SCHEMA_VERSION = 1
 
 
 def _read_query(path: str):
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read query file {path}: {exc.strerror}") from None
-    except UnicodeDecodeError:
-        raise InputError(f"query file {path} is not valid UTF-8") from None
-    return parse_query(text)
+    return parse_query(storage.read_text(path, "query file"))
 
 
 def _parse_tuple(ix: AccessIndex, text: str) -> list:
@@ -134,10 +128,14 @@ def cmd_build(args) -> int:
     t0 = time.perf_counter()
     db = storage.load(args.manifest)
     t1 = time.perf_counter()
+    log.info("load: %.3f ms, %d rows", (t1 - t0) * 1000, db.size)
     ix = build_index(q, order, db)
     t2 = time.perf_counter()
+    log.info("build: %.3f ms, bag rows %s", (t2 - t1) * 1000, ix.stats["bag_rows"])
     index_io.save_index(ix, args.out)
     t3 = time.perf_counter()
+    index_bytes = Path(args.out).stat().st_size
+    log.info("save: %.3f ms, %d bytes", (t3 - t2) * 1000, index_bytes)
     stats = {
         "schema": SCHEMA_VERSION,
         "count": str(ix.total_count),
@@ -145,7 +143,7 @@ def cmd_build(args) -> int:
         "bag_rows": ix.stats["bag_rows"],
         "multiatom_joins": ix.stats["multiatom_joins"],
         "iota": ix.stats["iota"],
-        "index_bytes": Path(args.out).stat().st_size,
+        "index_bytes": index_bytes,
         "timings_ms": {
             "load": round((t1 - t0) * 1000, 3),
             "build": round((t2 - t1) * 1000, 3),

@@ -21,7 +21,7 @@ from typing import Callable, Iterator, Sequence
 from .access import AccessIndex, build_index
 from .errors import InputError
 from .query import JoinQuery, VariableOrder
-from .storage import Database, build_database
+from .storage import Database, build_database, read_text
 
 # --------------------------------------------------------------------- #
 # query templates
@@ -177,6 +177,11 @@ class WeightedCliqueInstance:
                     raise InputError(f"vertex {v} in two parts")
                 idx[v] = pi
         object.__setattr__(self, "part_index", idx)
+        for u, v in self.weights:
+            if u not in idx or v not in idx:
+                raise InputError(f"edge ({u}, {v}) has a vertex outside every part")
+            if idx[u] == idx[v]:
+                raise InputError(f"edge ({u}, {v}) lies inside one part")
         for a_part, b_part in product(range(len(self.parts)), repeat=2):
             if a_part >= b_part:
                 continue
@@ -686,7 +691,7 @@ def write_partite_graph(path: str | Path, g: WeightedCliqueInstance) -> None:
 
 
 def read_partite_graph(path: str | Path) -> WeightedCliqueInstance:
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path, "graph file")
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines or not lines[0].startswith("parts "):
         raise InputError(f"{path}: expected a 'parts' header line")

@@ -15,15 +15,14 @@ The on-disk format is a JSON manifest naming CSV files::
 
 CSV files carry no header and follow RFC 4180 quoting.  Duplicate rows are
 dropped silently (relations are sets).  A database is immutable once built;
-sorted views of a relation are memoized lazily under a lock so concurrent
-readers are safe.
+sorted views of a relation are memoized lazily, with no lock: the engine is
+single-threaded.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -40,6 +39,16 @@ def normalize_type(name: str) -> str:
         return _TYPE_ALIASES[name]
     except KeyError:
         raise InputError(f"unknown column type {name!r}") from None
+
+
+def read_text(path: str | Path, what: str) -> str:
+    """A UTF-8 text file's contents; InputError naming ``what`` when unreadable."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot read {what} {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise InputError(f"{what} {path} is not valid UTF-8") from None
 
 
 def _parse_value(raw: str, type_name: str):
@@ -103,7 +112,6 @@ class Relation:
             if len(row) != arity:
                 raise InputError(f"row of width {len(row)} in relation of arity {arity}")
         self._views: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        self._views_lock = threading.Lock()
         self._row_set: frozenset[tuple[int, ...]] | None = None
 
     def __len__(self) -> int:
@@ -120,11 +128,7 @@ class Relation:
         key = tuple(perm)
         view = self._views.get(key)
         if view is None:
-            with self._views_lock:
-                view = self._views.get(key)
-                if view is None:
-                    view = sorted(tuple(row[p] for p in key) for row in self.rows)
-                    self._views[key] = view
+            view = self._views[key] = sorted(tuple(row[p] for p in key) for row in self.rows)
         return view
 
 
@@ -180,11 +184,7 @@ def load(manifest_path: str | Path) -> Database:
     """Load a database from a JSON manifest and its CSV files."""
     manifest_path = Path(manifest_path)
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise InputError(f"cannot read manifest {manifest_path}: {exc.strerror}") from None
-    except UnicodeDecodeError:
-        raise InputError(f"manifest {manifest_path} is not valid UTF-8") from None
+        manifest = json.loads(read_text(manifest_path, "manifest"))
     except json.JSONDecodeError as exc:
         raise InputError(f"bad manifest {manifest_path}: {exc}") from None
     if not isinstance(manifest, dict) or not isinstance(manifest.get("relations"), dict):

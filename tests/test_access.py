@@ -1,10 +1,11 @@
 import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
 
-from lexjoin import build_database
+from lexjoin import VariableOrder, build_database
 from lexjoin.access import build_index
 from lexjoin.errors import InputError, NotAnAnswerError, OutOfBoundsError
 from lexjoin.oracle import materialize_codes, materialize_sorted
@@ -186,6 +187,40 @@ def test_full_reduction_keeps_exactly_the_answer_projections():
             stored = {key + (v,) for key, (values, _) in table.groups.items() for v in values}
             assert stored == {tuple(row[c] for c in cols) for row in rows}, (seed, bag)
     assert checked >= 40
+
+
+# A bag skips the semijoin only with the atoms that own one of its cover edges,
+# told apart by position: both atoms of a self-join share one Relation.
+SEMIJOIN_CASES = {
+    "self-join": (
+        "Q(x,y) :- R(x,y), R(y,x).",
+        {"R": [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 4), (4, 5), (5, 1)]},
+    ),
+    "atom-inside-wider-atom": (
+        "Q(x,y,z) :- R(x,y,z), S(x,y).",
+        {
+            "R": [(1, 1, 1), (1, 2, 3), (2, 1, 1), (2, 2, 2), (3, 1, 2)],
+            "S": [(1, 2), (2, 2), (3, 3)],
+        },
+    ),
+    "two-atoms-one-scope": (
+        "Q(x,y) :- R(x,y), S(x,y).",
+        {"R": [(1, 1), (1, 2), (2, 1), (3, 3)], "S": [(1, 2), (2, 1), (2, 2), (3, 1)]},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEMIJOIN_CASES))
+def test_semijoin_rule_matches_oracle(case):
+    text, relations = SEMIJOIN_CASES[case]
+    q, _ = parse_query(text)
+    db = build_database({sym: (["int"] * len(rows[0]), rows) for sym, rows in relations.items()})
+    for variables in permutations(q.variables):
+        order = VariableOrder(variables)
+        ix = build_index(q, order, db)
+        expected = materialize_codes(q, order, db)
+        assert expected, (case, variables)
+        assert [ix.access_codes(j) for j in range(ix.count())] == expected, (case, variables)
 
 
 def test_cyclic_query_with_trios_full_walk():

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -224,6 +225,27 @@ def test_gen_star_builds_and_counts(tmp_path, capsys):
     assert code == 0
     stats = json.loads(out)
     assert int(stats["count"]) > 0
+
+
+def test_build_logs_each_phase_under_lexjoin_log(workdir):
+    argv = [sys.executable, "-m", "lexjoin", "build", "-q", "q.jq", "-m", "manifest.json"]
+    outputs = {}
+    for level in ("", "INFO"):
+        env = dict(src_env(), LEXJOIN_LOG=level)
+        proc = subprocess.run(
+            argv + ["-o", f"q{level}.idx"], cwd=workdir, env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        stats = json.loads(proc.stdout)
+        del stats["timings_ms"]
+        outputs[level] = (stats, proc.stderr.splitlines())
+    assert outputs[""][1] == []
+    assert outputs["INFO"][0] == outputs[""][0]
+    assert [re.sub(r"[\d.]+", "N", line) for line in outputs["INFO"][1]] == [
+        "INFO:lexjoin:load: N ms, N rows",
+        "INFO:lexjoin:build: N ms, bag rows [N, N]",
+        "INFO:lexjoin:save: N ms, N bytes",
+    ]
 
 
 def test_console_entry_point_runs():

@@ -395,3 +395,22 @@ def test_partite_graph_bad_header(tmp_path):
     path.write_text("1 2 3\n")
     with pytest.raises(InputError):
         hd.read_partite_graph(path)
+
+
+# Each writes one bad graph file (or none) and gives the expected message.
+BAD_GRAPHS = {
+    "missing-file": (None, "cannot read graph file"),
+    "not-utf8": (b"parts 1 1\n\xff 2 1\n", "not valid UTF-8"),
+    "vertex-outside-parts": (b"parts 1 1 1\n1 2 1\n1 3 1\n2 3 1\n1 9 3\n", "outside every part"),
+    "edge-inside-part": (b"parts 2 1\n1 2 1\n1 3 1\n2 3 1\n", "inside one part"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GRAPHS))
+def test_partite_graph_bad_input(tmp_path, case):
+    content, message = BAD_GRAPHS[case]
+    path = tmp_path / "graph.txt"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(InputError, match=message):
+        hd.read_partite_graph(path)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import zlib
 
@@ -64,6 +65,22 @@ def test_roundtrip_random_instances(tmp_path):
         resaved = tmp_path / f"t{trial}.again.idx"
         save_index(loaded, resaved)
         assert resaved.read_bytes() == path.read_bytes()
+
+
+# SHA-256 over the saved bytes of the indexes of tests/randgen seeds 0..199.
+# Any change to how an index is built or saved that alters a file changes it.
+RANDOM_INDEXES_SHA256 = "29375ef52a6eb1141a7662312a009290ac84f19a02e0c40253206d974f6991e4"
+
+
+def test_random_index_bytes_unchanged(tmp_path):
+    digest = hashlib.sha256()
+    path = tmp_path / "r.idx"
+    for seed in range(200):
+        rng = random.Random(seed)
+        q, order = random_query(rng)
+        save_index(build_index(q, order, random_database(rng, q)), path)
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == RANDOM_INDEXES_SHA256
 
 
 def test_corruption_rejected(tmp_path):
