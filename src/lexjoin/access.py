@@ -2,11 +2,14 @@
 
 Build phase, driven by the order-induced decomposition:
 
-1. one relation per bag, from its optimal fractional edge cover: each
-   positive edge is a view of the first atom meeting the bag in exactly that
-   edge (projected unless already in bag order).  One edge is the whole bag,
-   the cheap rho* = 1 case; two or more views go to the generic join;
-2. each bag is semijoined with the atoms inside it that own none of its edges;
+1. one relation per bag, from the last bag to the first.  A bag inside a
+   later bag is that bag's projection.  Any other bag comes from its optimal
+   fractional edge cover: each positive edge is a view of the first atom
+   meeting the bag in exactly that edge (projected unless already in bag
+   order).  One edge is the whole bag, the cheap rho* = 1 case; two or more
+   views go to the generic join, variables in the most views first;
+2. each joined bag is semijoined with the atoms inside it that own none of
+   its edges, so it enforces every atom inside it, and so do its projections;
 3. each bag's sorted rows become a map from interface (all columns except
    the bag's own variable) to sorted candidates, and the full reducer runs on
    these maps over the join forest: bottom up, a candidate stays when every
@@ -334,38 +337,49 @@ def build_index(q: JoinQuery, order: VariableOrder, db: Database) -> AccessIndex
     # Views over distinct variables: rows where repeated-variable columns agree.
     atoms = [_collapse_repeats(db.relation(sym), vs) for sym, vs in q.atoms]
 
-    candidates: list[dict[tuple[int, ...], list[int]]] = []
-    for i in range(n):
+    # Last to first, as a bag's supersets come later (its own variable is its
+    # latest); a bag inside one is its projection, which enforces its atoms.
+    rels: list[storage.Relation | None] = [None] * n
+    candidates: list[dict[tuple[int, ...], list[int]]] = [{}] * n
+    for i in range(n - 1, -1, -1):
         bag = decomp.bags[i]
         keep = bag_vars[i]
-        # One view per positive cover edge, from the first atom meeting the bag
-        # in exactly that edge; an atom whose whole scope is the edge is its owner.
-        views, owners = [], set()
-        for edge in decomp.bag_cover[i].positive_edges():
-            a = next((a for a, (_, vs) in enumerate(atoms) if bag.intersection(vs) == edge), None)
-            if a is None:
-                raise InternalError(f"no atom generates cover edge {sorted(edge)}")
-            rel, vs = atoms[a]
-            edge_keep = tuple(sorted(edge, key=order.position))
-            if vs != edge_keep:
-                rel = storage.project(rel, [vs.index(v) for v in edge_keep])
-            if len(vs) == len(edge):
-                owners.add(a)
-            views.append((rel, edge_keep))
-        if len(views) == 1:  # a single edge is the whole bag
-            b = views[0][0]
+        j = next((j for j in range(i + 1, n) if bag <= decomp.bags[j]), None)
+        if j is not None:
+            b = storage.project(rels[j], [bag_vars[j].index(v) for v in keep])
         else:
-            b = generic_join(SubQuery(keep, tuple(views)), None, keep)
-            multiatom_joins += 1
-        # Owners' rows already bound b; by position, as self-joins share a Relation.
-        col_of = {v: c for c, v in enumerate(keep)}
-        for a, (rel, vs) in enumerate(atoms):
-            if a not in owners and bag.issuperset(vs):
-                b = storage.semijoin(b, rel, [(col_of[v], c) for c, v in enumerate(vs)])
+            # One view per positive cover edge, from the first atom meeting the bag
+            # in exactly that edge; an atom whose whole scope is the edge is its owner.
+            views, owners = [], set()
+            for edge in decomp.bag_cover[i].positive_edges():
+                meets = (a for a, (_, vs) in enumerate(atoms) if bag.intersection(vs) == edge)
+                a = next(meets, None)
+                if a is None:
+                    raise InternalError(f"no atom generates cover edge {sorted(edge)}")
+                rel, vs = atoms[a]
+                edge_keep = tuple(sorted(edge, key=order.position))
+                if vs != edge_keep:
+                    rel = storage.project(rel, [vs.index(v) for v in edge_keep])
+                if len(vs) == len(edge):
+                    owners.add(a)
+                views.append((rel, edge_keep))
+            if len(views) == 1:  # a single edge is the whole bag
+                b = views[0][0]
+            else:  # join the variables in most views first, ties in order
+                by_views = sorted(keep, key=lambda v: -sum(v in vs for _, vs in views))
+                b = generic_join(SubQuery(keep, tuple(views)), None, by_views)
+                multiatom_joins += 1
+            # Owners' rows already bound b; by position, as self-joins share a Relation.
+            col_of = {v: c for c, v in enumerate(keep)}
+            for a, (rel, vs) in enumerate(atoms):
+                if a not in owners and bag.issuperset(vs):
+                    b = storage.semijoin(b, rel, [(col_of[v], c) for c, v in enumerate(vs)])
+        rels[i] = b
         # Sorted rows group by interface with their candidates already sorted.
-        candidates.append(
-            {key: [row[-1] for row in rows] for key, rows in groupby(b.rows, lambda row: row[:-1])}
-        )
+        candidates[i] = {
+            key: [row[-1] for row in rows] for key, rows in groupby(b.rows, lambda row: row[:-1])
+        }
+    del rels
 
     # Full reducer on the candidate maps: leaves up, then roots down.
     links = child_links(bag_vars, decomp.parent)

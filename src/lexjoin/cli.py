@@ -141,7 +141,7 @@ def cmd_build(args) -> int:
         "count": str(ix.total_count),
         "database_size": db.size,
         "bag_rows": ix.stats["bag_rows"],
-        "multiatom_joins": ix.stats["multiatom_joins"],
+        "multiatom_joins": ix.stats["multiatom_joins"],  # maximal bags joined, not projected
         "iota": ix.stats["iota"],
         "index_bytes": index_bytes,
         "timings_ms": {

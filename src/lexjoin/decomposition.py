@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from . import hypergraph as hg
@@ -159,8 +160,9 @@ class Decomposition:
     witness: int
 
 
+@lru_cache(maxsize=64)
 def decompose(q: JoinQuery, order: VariableOrder) -> Decomposition:
-    """Bags, parents, per-bag exact covers and the incompatibility number."""
+    """Bags, parents, per-bag covers and iota; cached, so callers must not mutate it."""
     h = hypergraph_of(q)
     bags = disruption_free_iterative(q, order)
     parent = join_forest(bags, order)

@@ -699,6 +699,8 @@ def read_partite_graph(path: str | Path) -> WeightedCliqueInstance:
         sizes = [int(tok) for tok in lines[0].split()[1:]]
     except ValueError:
         raise InputError(f"{path}: bad parts header") from None
+    if any(size < 0 for size in sizes):
+        raise InputError(f"{path}: negative part size in the parts header")
     part_lists = []
     start = 1
     for size in sizes:
@@ -713,5 +715,8 @@ def read_partite_graph(path: str | Path) -> WeightedCliqueInstance:
             u, v, w = int(toks[0]), int(toks[1]), int(toks[2])
         except ValueError:
             raise InputError(f"{path}:{lineno}: expected integers") from None
-        weights[(min(u, v), max(u, v))] = w
+        edge = (min(u, v), max(u, v))
+        if edge in weights:
+            raise InputError(f"{path}:{lineno}: repeated edge {edge}")
+        weights[edge] = w
     return WeightedCliqueInstance(tuple(part_lists), weights)

@@ -223,6 +223,41 @@ def test_semijoin_rule_matches_oracle(case):
         assert [ix.access_codes(j) for j in range(ix.count())] == expected, (case, variables)
 
 
+# A bag inside a later bag is built as that bag's projection.  In the third
+# case under order (a, d, b, c), bag {a, d} lies inside the joined bag
+# {a, c, d} rather than inside the next bag {b, d}.
+CONTAINED_CASES = {
+    "star3": "Q(x1,x2,x3,z) :- R1(x1,z), R2(x2,z), R3(x3,z).",
+    "self-join-triangle": "Q(x,y,z) :- R(x,y), R(y,z), R(z,x).",
+    "container-not-next": "Q(a,b,c,d) :- R(a,c), S(b,d), T(c,d).",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTAINED_CASES))
+def test_contained_bags_match_oracle(case):
+    q, _ = parse_query(CONTAINED_CASES[case])
+    rng = random.Random(case)
+    db = build_database(
+        {
+            sym: (["int"] * len(vs), sorted({(rng.randrange(4), rng.randrange(4)) for _ in range(10)}))
+            for sym, vs in q.atoms
+        }
+    )
+    for variables in permutations(q.variables):
+        order = VariableOrder(variables)
+        ix = build_index(q, order, db)
+        expected = materialize_codes(q, order, db)
+        assert expected, (case, variables)
+        assert [ix.access_codes(j) for j in range(ix.count())] == expected, (case, variables)
+    if case == "container-not-next":
+        ix = build_index(q, VariableOrder(("a", "d", "b", "c")), db)
+        assert ix.bags == (("a",), ("a", "d"), ("d", "b"), ("a", "d", "c"))
+    if case == "star3":
+        # Worst order: only the maximal bag {x1, x2, x3, z} is joined.
+        ix = build_index(q, VariableOrder(("x1", "x2", "x3", "z")), db)
+        assert ix.stats["multiatom_joins"] == 1
+
+
 def test_cyclic_query_with_trios_full_walk():
     q, order = parse_query(FIVE_TEXT)
     rng = random.Random(31)

@@ -3,7 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from lexjoin import VariableOrder, build_database
 from lexjoin import hypergraph as hg
+from lexjoin.access import build_index
+from lexjoin.cli import main
 from lexjoin.decomposition import (
     check_decomposition,
     decompose,
@@ -245,3 +248,31 @@ def test_acyclic_queries_have_integral_bag_covers():
         for cover in decomp.bag_cover:
             assert cover.total.denominator == 1
     assert checked > 30
+
+
+def test_decompose_cached_and_left_unchanged(tmp_path, capsys):
+    q, order = parse_query(FIVE_TEXT)
+    d = decompose(q, order)
+    assert decompose(q, order) is d
+    assert decompose(*parse_query(FIVE_TEXT)) is d  # equal query and order hit too
+    parent = dict(d.parent)
+    covers = [(dict(c.weights), c.total) for c in d.bag_cover]
+    rng = random.Random(5)
+    db = build_database(
+        {
+            sym: (["int"] * 2, sorted({(rng.randrange(5), rng.randrange(5)) for _ in range(20)}))
+            for sym, _ in q.atoms
+        }
+    )
+    for _ in range(2):
+        build_index(q, order, db)
+    qfile = tmp_path / "five.jq"
+    qfile.write_text(FIVE_TEXT)
+    assert main(["analyze", str(qfile), "--format", "json"]) == 0
+    capsys.readouterr()
+    assert decompose(q, order) is d
+    assert d.parent == parent
+    assert [(c.weights, c.total) for c in d.bag_cover] == covers
+    other = decompose(q, VariableOrder(tuple(reversed(order.variables))))
+    assert other is not d
+    assert other.bags != d.bags

@@ -403,6 +403,8 @@ BAD_GRAPHS = {
     "not-utf8": (b"parts 1 1\n\xff 2 1\n", "not valid UTF-8"),
     "vertex-outside-parts": (b"parts 1 1 1\n1 2 1\n1 3 1\n2 3 1\n1 9 3\n", "outside every part"),
     "edge-inside-part": (b"parts 2 1\n1 2 1\n1 3 1\n2 3 1\n", "inside one part"),
+    "negative-part-size": (b"parts -1 2\n", "negative part size"),
+    "repeated-edge": (b"parts 1 1\n1 2 1\n2 1 5\n", "repeated edge"),
 }
 
 
