@@ -11,14 +11,14 @@ Build phase, driven by the order-induced decomposition:
 2. each joined bag is semijoined with the atoms inside it that own none of
    its edges, so it enforces every atom inside it, and so do its projections;
 3. each bag's sorted rows become a map from interface (all columns except
-   the bag's own variable) to sorted candidates, and the full reducer runs on
-   these maps over the join forest: bottom up, a candidate stays when every
-   child has its group; top down, a child group stays when some candidate of
-   its parent reaches it.  Every surviving candidate extends to an answer;
-4. a counting pass from the last bag backwards, shared with load
-   (``count_groups``): each group's candidates get prefix sums of completion
-   counts, where a candidate's completion count is the product of its
-   children's group totals.  A saved index therefore holds candidates only.
+   the bag's own variable) to sorted candidates;
+4. the full reducer runs on these maps, and its leaves-up half is the
+   counting pass shared with load (``count_groups``): last bag first, a
+   candidate's completion count is the product of its children's group
+   totals, a candidate with no group in a child bag is dropped, and so is a
+   group left empty; each group keeps prefix sums of its counts.  Roots
+   down, a child group stays when some parent candidate reaches it, which
+   changes no count.  Every candidate left extends to an answer.
 
 An access then walks the variables in order.  At each variable the pending
 groups (one per bag whose interface is fully assigned but whose variable is
@@ -62,6 +62,10 @@ class GroupTable:
     def total(self, key: tuple[int, ...]) -> int:
         entry = self.groups.get(key)
         return entry[1][-1] if entry else 0
+
+    def rows(self) -> int:
+        """Candidates over all groups: the bag's rows."""
+        return sum(len(values) for values, _ in self.groups.values())
 
 
 @dataclass
@@ -281,31 +285,40 @@ def count_groups(
     parent: dict[int, int | None],
     candidates: Sequence[dict[tuple[int, ...], list[int]]],
 ) -> tuple[tuple[GroupTable, ...], int]:
-    """Group tables with prefix sums of completion counts, and the answer count.
+    """The full reducer's leaves-up half: group tables with prefix sums, and the answer count.
 
     ``candidates[i]`` maps each interface key of bag i to its sorted, non-empty
-    candidates.  A candidate with no group in some child bag is an InternalError.
+    candidates.  A candidate's weight is the product of its children's group
+    totals; one with no group in some child bag has none and is dropped, and
+    so is a group left empty.
     """
     n = len(bags)
     links = child_links(bags, parent)
     tables: list[GroupTable | None] = [None] * n
     for i in range(n - 1, -1, -1):
-        kids = [(c, tables[c].groups, cols) for c, cols in links[i]]
+        kids = [(tables[c].groups, cols) for c, cols in links[i]]
         groups: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
         for key, values in candidates[i].items():
-            heads = [(c, child, tuple(key[k] for k in cols)) for c, child, cols in kids]
+            heads = [(child, tuple(key[k] for k in cols)) for child, cols in kids]
             prefix: list[int] = []
             running = 0
+            lost = False
             for value in values:
                 w = 1
-                for c, child, head in heads:
+                for child, head in heads:
                     entry = child.get(head + (value,))
                     if entry is None:
-                        raise InternalError(f"bag {i}: a candidate has no group in child bag {c}")
+                        w = 0
+                        lost = True
+                        break
                     w *= entry[1][-1]
                 running += w
                 prefix.append(running)
-            groups[key] = (values, prefix)
+            if lost:  # a dropped candidate leaves the prefix sum where it was
+                kept = [k for k, p in enumerate(prefix) if p != (prefix[k - 1] if k else 0)]
+                values, prefix = [values[k] for k in kept], [prefix[k] for k in kept]
+            if values:
+                groups[key] = (values, prefix)
         tables[i] = GroupTable(groups)
     total = prod(tables[i].total(()) for i in range(n) if parent[i] is None)
     return tuple(tables), total
@@ -381,27 +394,17 @@ def build_index(q: JoinQuery, order: VariableOrder, db: Database) -> AccessIndex
         }
     del rels
 
-    # Full reducer on the candidate maps: leaves up, then roots down.
-    links = child_links(bag_vars, decomp.parent)
-    for i in range(n - 1, -1, -1):
-        if links[i]:
-            reduced = {}
-            for key, values in candidates[i].items():
-                heads = [(candidates[c], tuple(key[k] for k in cols)) for c, cols in links[i]]
-                kept = [v for v in values if all(h + (v,) in child for child, h in heads)]
-                if kept:
-                    reduced[key] = kept
-            candidates[i] = reduced
-    for i in range(n):
-        for c, cols in links[i]:
+    # Leaves up with the counts, then roots down: an unreached group changes no count.
+    tables, total = count_groups(bag_vars, decomp.parent, candidates)
+    for i, links in enumerate(child_links(bag_vars, decomp.parent)):
+        for c, cols in links:
             reached = {
                 tuple(key[k] for k in cols) + (v,)
-                for key, values in candidates[i].items()
+                for key, (values, _) in tables[i].groups.items()
                 for v in values
             }
-            candidates[c] = {key: vs for key, vs in candidates[c].items() if key in reached}
-
-    tables, total = count_groups(bag_vars, decomp.parent, candidates)
+            if len(reached) < len(tables[c].groups):  # each reached key has a group
+                tables[c].groups = {k: e for k, e in tables[c].groups.items() if k in reached}
 
     return AccessIndex(
         query=q,
@@ -414,7 +417,7 @@ def build_index(q: JoinQuery, order: VariableOrder, db: Database) -> AccessIndex
         total_count=total,
         stats={
             "multiatom_joins": multiatom_joins,
-            "bag_rows": [sum(map(len, groups.values())) for groups in candidates],
+            "bag_rows": [table.rows() for table in tables],
             "iota": str(decomp.iota),
         },
     )

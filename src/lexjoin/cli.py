@@ -18,6 +18,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 from . import hardness, index_io, oracle, storage
@@ -228,120 +229,93 @@ def _write_csv(path: Path, rows) -> None:
             writer.writerow(row)
 
 
-def _write_sidecar(outdir: Path, payload: dict) -> None:
-    payload = {"schema": SCHEMA_VERSION, **payload}
-    (outdir / "gen.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _gen_star(args, outdir: Path, rng: random.Random) -> None:
-    q, order = hardness.star_query(args.k)
-    (outdir / "query.jq").write_text(format_query(q, order) + "\n")
+def _write_instance(outdir: Path, q, relations: dict[str, list[tuple[int, ...]]]) -> None:
+    """The query file, one integer CSV per relation and their manifest."""
+    (outdir / "query.jq").write_text(format_query(q) + "\n")
+    arity = dict(q.atoms)
     manifest = {"relations": {}}
-    for i in range(1, args.k + 1):
-        pairs = set()
-        while len(pairs) < args.per_relation:
-            pairs.add((rng.randrange(args.x_domain), rng.randrange(args.z_domain)))
-        name = f"R{i}.csv"
-        _write_csv(outdir / name, sorted(pairs))
-        manifest["relations"][f"R{i}"] = {"file": name, "types": ["int", "int"]}
+    for sym, rows in relations.items():
+        _write_csv(outdir / f"{sym}.csv", rows)
+        manifest["relations"][sym] = {"file": f"{sym}.csv", "types": ["int"] * len(arity[sym])}
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    _write_sidecar(
-        outdir,
-        {
-            "family": "star",
-            "seed": args.seed,
-            "k": args.k,
-            "per_relation": args.per_relation,
-            "x_domain": args.x_domain,
-            "z_domain": args.z_domain,
-        },
-    )
 
 
-def _gen_setdisj(args, outdir: Path, rng: random.Random) -> None:
+def _random_relations(rng: random.Random, symbols, count: int, domains: tuple[int, ...]) -> dict:
+    """Per symbol, count distinct tuples drawn uniformly from range(d) per column, sorted."""
+    if count < 0 or min(domains) < 0:
+        raise InputError("row counts and domains must be non-negative")
+    if count > prod(domains):
+        box = " x ".join(map(str, domains))
+        raise InputError(f"cannot draw {count} distinct rows from a {box} domain")
+    relations = {}
+    for sym in symbols:
+        rows = set()
+        while len(rows) < count:
+            rows.add(tuple(rng.randrange(d) for d in domains))
+        relations[sym] = sorted(rows)
+    return relations
+
+
+def _gen_star(args, outdir: Path, rng: random.Random) -> dict:
+    q, _ = hardness.star_query(args.k)  # its worst order is its head order
+    domains = (args.x_domain, args.z_domain)
+    _write_instance(outdir, q, _random_relations(rng, q.symbols, args.per_relation, domains))
+    return {
+        "k": args.k,
+        "per_relation": args.per_relation,
+        "x_domain": args.x_domain,
+        "z_domain": args.z_domain,
+    }
+
+
+def _gen_setdisj(args, outdir: Path, rng: random.Random) -> dict:
     inst = hardness.random_set_family(
         rng, args.k, args.sets, args.universe, args.max_set_size, args.queries
     )
-    q, order = hardness.star_query(args.k)
-    (outdir / "query.jq").write_text(format_query(q, order) + "\n")
-    manifest = {"relations": {}}
-    for i, fam in enumerate(inst.families, start=1):
-        rows = [(j, v) for j, s in enumerate(fam, start=1) for v in sorted(s)]
-        name = f"R{i}.csv"
-        _write_csv(outdir / name, rows)
-        manifest["relations"][f"R{i}"] = {"file": name, "types": ["int", "int"]}
-    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    _write_sidecar(
-        outdir,
-        {
-            "family": "setdisj",
-            "seed": args.seed,
-            "k": args.k,
-            "sets_per_family": args.sets,
-            "universe": args.universe,
-            "max_set_size": args.max_set_size,
-            "queries": [list(query) for query in inst.queries],
-        },
-    )
+    q, _ = hardness.star_query(args.k)
+    _write_instance(outdir, q, hardness.set_family_rows(inst))
+    return {
+        "k": args.k,
+        "sets_per_family": args.sets,
+        "universe": args.universe,
+        "max_set_size": args.max_set_size,
+        "queries": [list(query) for query in inst.queries],
+    }
 
 
-def _gen_zeroclique(args, outdir: Path, rng: random.Random) -> None:
+def _gen_zeroclique(args, outdir: Path, rng: random.Random) -> dict:
     g, planted = hardness.random_partite_instance(
         rng, args.parts, args.part_size, args.weight_bound, plant=args.planted
     )
     hardness.write_partite_graph(outdir / "graph.txt", g)
-    _write_sidecar(
-        outdir,
-        {
-            "family": "zeroclique",
-            "seed": args.seed,
-            "parts": args.parts,
-            "part_size": args.part_size,
-            "weight_bound": args.weight_bound,
-            "planted_clique": list(planted) if planted else None,
-            "p": None,
-            "rho": None,
-        },
-    )
+    return {
+        "parts": args.parts,
+        "part_size": args.part_size,
+        "weight_bound": args.weight_bound,
+        "planted_clique": list(planted) if planted else None,
+        "p": None,
+        "rho": None,
+    }
 
 
-def _gen_lw(args, outdir: Path, rng: random.Random) -> None:
+def _gen_lw(args, outdir: Path, rng: random.Random) -> dict:
     q = hardness.lw_query(args.k)
-    (outdir / "query.jq").write_text(format_query(q) + "\n")
-    manifest = {"relations": {}}
-    arity = args.k - 1
-    for sym in q.symbols:
-        rows = set()
-        while len(rows) < args.per_relation:
-            rows.add(tuple(rng.randrange(args.domain) for _ in range(arity)))
-        name = f"{sym}.csv"
-        _write_csv(outdir / name, sorted(rows))
-        manifest["relations"][sym] = {"file": name, "types": ["int"] * arity}
-    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    _write_sidecar(
-        outdir,
-        {
-            "family": "lw",
-            "seed": args.seed,
-            "k": args.k,
-            "per_relation": args.per_relation,
-            "domain": args.domain,
-        },
-    )
+    domains = (args.domain,) * (args.k - 1)
+    _write_instance(outdir, q, _random_relations(rng, q.symbols, args.per_relation, domains))
+    return {"k": args.k, "per_relation": args.per_relation, "domain": args.domain}
+
+
+_GENERATORS = {
+    "star": _gen_star, "setdisj": _gen_setdisj, "zeroclique": _gen_zeroclique, "lw": _gen_lw
+}
 
 
 def cmd_gen(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    rng = random.Random(args.seed)
-    if args.family == "star":
-        _gen_star(args, outdir, rng)
-    elif args.family == "setdisj":
-        _gen_setdisj(args, outdir, rng)
-    elif args.family == "zeroclique":
-        _gen_zeroclique(args, outdir, rng)
-    else:
-        _gen_lw(args, outdir, rng)
+    params = _GENERATORS[args.family](args, outdir, random.Random(args.seed))
+    sidecar = {"schema": SCHEMA_VERSION, "family": args.family, "seed": args.seed, **params}
+    (outdir / "gen.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -420,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("gen", help="emit benchmark instance files")
-    p.add_argument("family", choices=["star", "setdisj", "zeroclique", "lw"])
+    p.add_argument("family", choices=list(_GENERATORS))
     p.add_argument("-o", "--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k", type=int, default=2)

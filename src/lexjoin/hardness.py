@@ -114,18 +114,24 @@ class SetFamilyInstance:
         return not self.intersection(query)
 
 
+def set_family_rows(inst: SetFamilyInstance) -> dict[str, list[tuple[int, int]]]:
+    """Relation ``R<i>`` of the k-star holds family i's (set index, element) pairs."""
+    return {
+        f"R{i}": [(j, v) for j, s in enumerate(fam, start=1) for v in sorted(s)]
+        for i, fam in enumerate(inst.families, start=1)
+    }
+
+
 def encode_set_disjointness(inst: SetFamilyInstance) -> Database:
-    """Database for the k-star: relation i holds (set index, element) pairs.
+    """Database for the k-star, rows as in :func:`set_family_rows`.
 
     A query (j_1, ..., j_k) has a non-empty intersection exactly when some z
     completes it to a star answer; the database size equals the instance's
     input size.
     """
-    raw = {}
-    for i, fam in enumerate(inst.families, start=1):
-        rows = [(j, v) for j, s in enumerate(fam, start=1) for v in sorted(s)]
-        raw[f"R{i}"] = (("int", "int"), rows)
-    return build_database(raw)
+    return build_database(
+        {sym: (("int", "int"), rows) for sym, rows in set_family_rows(inst).items()}
+    )
 
 
 def prefix_block(ix: AccessIndex, values: Sequence) -> tuple[int, int]:
@@ -631,6 +637,10 @@ def random_set_family(
     queries: int | None = None,
 ) -> SetFamilyInstance:
     """Random instance; queries default to every index combination."""
+    if min(sets_per_family, universe_size, max_set_size, queries or 0) < 0:
+        raise InputError("set counts, sizes and query counts must be non-negative")
+    if queries and not sets_per_family:
+        raise InputError("cannot draw queries from families without sets")
     universe = tuple(range(universe_size))
     families = tuple(
         tuple(
@@ -660,6 +670,10 @@ def random_partite_instance(
     Planting picks one vertex per part and rewrites a single edge so the
     clique sums to zero.
     """
+    if parts < 0 or part_size < 0 or weight_bound < 0:
+        raise InputError("part count, part size and weight bound must be non-negative")
+    if plant and (parts < 2 or part_size == 0):
+        raise InputError("planting a clique needs at least two non-empty parts")
     part_lists = tuple(
         tuple(c * part_size + i for i in range(1, part_size + 1)) for c in range(parts)
     )

@@ -2,7 +2,12 @@
 
 Only each group's sorted candidates are stored: the bags and their forest
 follow from the query, and load recomputes the prefix sums and the answer
-count with the build's own counting pass (``access.count_groups``).
+count with the build's own counting pass (``access.count_groups``), the full
+reducer's leaves-up half.  A file must hold a fully reduced index: load
+rejects it when that pass drops a candidate, one with no group in some child
+bag.  The roots-down half is not checked: no walk visits a group that no
+parent candidate reaches, so it changes no answer, and finding one would cost
+up to half a load.
 
 Layout, in stream order (all integers LEB128 unsigned varints unless noted):
 
@@ -35,7 +40,7 @@ from pathlib import Path
 
 from .access import AccessIndex, count_groups, ordered_bags
 from .decomposition import disruption_free_iterative, join_forest
-from .errors import InputError, InternalError
+from .errors import InputError
 from .query import format_query, parse_query
 from .storage import TYPE_INT, TYPE_STRING, ValueDictionary
 
@@ -203,7 +208,7 @@ def _decode(blob: bytes) -> AccessIndex:
     bag_sets = disruption_free_iterative(q, order)
     parent = join_forest(bag_sets, order)
     bags = ordered_bags(bag_sets, order)
-    candidates = []
+    candidates, stored_rows = [], []
     for i, bag in enumerate(bags):
         pool = dictionary.pool_codes(var_types[bag[-1]])
         groups: dict[tuple[int, ...], list[int]] = {}
@@ -221,13 +226,16 @@ def _decode(blob: bytes) -> AccessIndex:
                 raise InputError(f"bag {i} candidate code outside the {var_types[bag[-1]]} pool")
             groups[key] = values
         candidates.append(groups)
+        stored_rows.append(sum(map(len, groups.values())))
     if not r.at_end():
         raise InputError("trailing bytes after index payload")
 
-    try:
-        tables, total = count_groups(bags, parent, candidates)
-    except InternalError as exc:
-        raise InputError(str(exc)) from None
+    tables, total = count_groups(bags, parent, candidates)
+    bag_rows = [table.rows() for table in tables]
+    for i in reversed(range(len(bags))):  # a bag's loss may come from a child's: name the latest
+        if bag_rows[i] != stored_rows[i]:
+            kids = " or ".join(str(c) for c, p in parent.items() if p == i)
+            raise InputError(f"bag {i}: a candidate has no group in child bag {kids}")
 
     return AccessIndex(
         query=q,
@@ -238,5 +246,5 @@ def _decode(blob: bytes) -> AccessIndex:
         parent=parent,
         tables=tables,
         total_count=total,
-        stats={},
+        stats={"bag_rows": bag_rows},
     )

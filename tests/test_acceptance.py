@@ -8,11 +8,12 @@ assert at their stated budget.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction as F
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -32,7 +33,7 @@ from lexjoin.errors import InputError, OutOfBoundsError
 from lexjoin.hypergraph import Hypergraph
 from lexjoin.index_io import load_index, save_index
 from lexjoin.oracle import materialize_sorted
-from lexjoin.query import disruptive_trios, hypergraph_of, parse_query
+from lexjoin.query import VariableOrder, disruptive_trios, hypergraph_of, parse_query
 from lexjoin.storage import build_database
 from lexjoin.wcoj import agm_bound_holds, generic_join, naive_join
 from tests.randgen import (
@@ -405,3 +406,40 @@ def test_c14_persistence():
                 assert loaded.count() == ix.count()
                 for j in range(min(expected.count, 400)):
                     assert loaded.access(j) == ix.access(j)
+
+
+def _largest_bag_slope(q, order, small, large) -> float:
+    """Log-log slope of the largest bag's rows against |D| between two databases."""
+    (d1, r1), (d2, r2) = (
+        (db.size, max(build_index(q, order, db).stats["bag_rows"])) for db in (small, large)
+    )
+    return math.log(r2 / r1) / math.log(d2 / d1)
+
+
+def _star_hub(m: int):
+    """Every arm holds (x, 0) and (x, x + 1) for x < m: z = 0 is a hub of all m**3 triples."""
+    rows = sorted({(x, 0) for x in range(m)} | {(x, x + 1) for x in range(m)})
+    return build_database({f"R{i}": (["int", "int"], rows) for i in (1, 2, 3)})
+
+
+def _lw_grid(k: int, s: int):
+    """Every relation of LW_k holds all s**(k - 1) tuples: the join is all s**k tuples."""
+    rows = list(product(range(s), repeat=k - 1))
+    return build_database({f"R{i}": (["int"] * (k - 1), rows) for i in range(1, k + 1)})
+
+
+def test_c15_preprocessing_grows_as_iota():
+    with criterion(15, "largest bag grows as |D|**iota under every star-3 order and LW", 60.0):
+        q, _ = hd.star_query(3)
+        small, large = _star_hub(16), _star_hub(32)
+        for perm in permutations(q.variables):
+            order = VariableOrder(perm)
+            iota = decompose(q, order).iota
+            slope = _largest_bag_slope(q, order, small, large)
+            assert abs(slope - iota) <= 0.1, (perm, iota, slope)
+        for k, (s1, s2), iota in ((3, (8, 16), F(3, 2)), (4, (5, 7), F(4, 3))):
+            q = hd.lw_query(k)
+            order = VariableOrder(q.variables)
+            assert decompose(q, order).iota == iota
+            slope = _largest_bag_slope(q, order, _lw_grid(k, s1), _lw_grid(k, s2))
+            assert abs(slope - iota) <= 0.1, (k, slope)

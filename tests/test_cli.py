@@ -227,6 +227,49 @@ def test_gen_star_builds_and_counts(tmp_path, capsys):
     assert int(stats["count"]) > 0
 
 
+# Generator arguments no instance satisfies: (argv after "gen", error message).
+GEN_BAD_ARGS = {
+    "star-fewer-pairs-than-rows": (
+        ["star", "--per-relation", "10", "--x-domain", "2", "--z-domain", "2"],
+        "cannot draw 10 distinct rows from a 2 x 2 domain",
+    ),
+    "star-empty-x-domain": (["star", "--x-domain", "0"], "cannot draw 100 distinct rows"),
+    "star-negative-rows": (["star", "--per-relation", "-1"], "must be non-negative"),
+    "lw-fewer-tuples-than-rows": (
+        ["lw", "--k", "3", "--per-relation", "10", "--domain", "2"],
+        "cannot draw 10 distinct rows from a 2 x 2 domain",
+    ),
+    "lw-unary-fewer-values-than-rows": (["lw", "--k", "2"], "cannot draw 100 distinct rows"),
+    "zeroclique-plant-in-empty-parts": (
+        ["zeroclique", "--part-size", "0", "--planted"],
+        "at least two non-empty parts",
+    ),
+    "zeroclique-plant-in-one-part": (
+        ["zeroclique", "--parts", "1", "--planted"],
+        "at least two non-empty parts",
+    ),
+    "zeroclique-negative-weight-bound": (["zeroclique", "--weight-bound", "-1"], "non-negative"),
+    "setdisj-negative-max-set-size": (["setdisj", "--max-set-size", "-1"], "non-negative"),
+    "setdisj-negative-universe": (["setdisj", "--universe", "-1"], "non-negative"),
+    "setdisj-queries-without-sets": (
+        ["setdisj", "--sets", "0", "--queries", "3"],
+        "cannot draw queries from families without sets",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(GEN_BAD_ARGS))
+def test_gen_unsatisfiable_arguments_exit_2(tmp_path, case):
+    # In a subprocess with a timeout, so that a generator that loops forever fails.
+    argv, message = GEN_BAD_ARGS[case]
+    proc = subprocess.run(
+        [sys.executable, "-m", "lexjoin", "gen", *argv, "-o", str(tmp_path / "g")],
+        env=src_env(), capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and message in proc.stderr
+
+
 def test_build_logs_each_phase_under_lexjoin_log(workdir):
     argv = [sys.executable, "-m", "lexjoin", "build", "-q", "q.jq", "-m", "manifest.json"]
     outputs = {}

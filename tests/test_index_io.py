@@ -62,6 +62,7 @@ def test_roundtrip_random_instances(tmp_path):
         for j, row in enumerate(expected.rows):
             assert loaded.access(j) == row
         assert loaded.tables == ix.tables
+        assert loaded.stats["bag_rows"] == ix.stats["bag_rows"]
         resaved = tmp_path / f"t{trial}.again.idx"
         save_index(loaded, resaved)
         assert resaved.read_bytes() == path.read_bytes()
