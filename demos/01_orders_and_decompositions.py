@@ -41,9 +41,8 @@ for a, b, c in trios:
 decomp = decompose(query, order)
 print("\nbags (own variable last), parents, exact cover numbers:")
 for i, bag in enumerate(decomp.bags):
-    vs = sorted(bag, key=order.position)
     parent = "root" if decomp.parent[i] is None else f"under bag {decomp.parent[i]}"
-    print(f"  bag {i}: {{{', '.join(vs)}}}  rho* = {decomp.bag_cover[i].total}  ({parent})")
+    print(f"  bag {i}: {{{', '.join(bag)}}}  rho* = {decomp.bag_cover[i].total}  ({parent})")
 
 print("\nincompatibility number:", decomp.iota, "(witness bag", str(decomp.witness) + ")")
 print("preprocessing for this order costs about |D| **", decomp.iota)

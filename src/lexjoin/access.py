@@ -1,6 +1,8 @@
 """The direct-access index: preprocessing once, then answers on demand.
 
-Build phase, driven by the order-induced decomposition:
+Build phase, driven by the order-induced decomposition, whose bag forest
+(bags in order with their own variable last, child links, roots) comes from
+``decompose`` alone; the index copies it for the walks.
 
 1. one relation per bag, from the last bag to the first.  A bag inside a
    later bag is that bag's projection.  Any other bag comes from its optimal
@@ -72,24 +74,25 @@ class GroupTable:
 class AccessIndex:
     """Everything needed to serve access calls; immutable once built."""
 
-    query: JoinQuery
-    order: VariableOrder
+    decomp: Decomposition
     dictionary: storage.ValueDictionary
     var_types: dict[str, str]
-    bags: tuple[tuple[str, ...], ...]  # bag variables, order-sorted, own var last
-    parent: dict[int, int | None]
     tables: tuple[GroupTable, ...]
     total_count: int
     stats: dict = field(default_factory=dict)
 
-    # Derived navigation, filled in __post_init__.
-    links: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...] = ()
-    roots: tuple[int, ...] = ()
-    head_cols: tuple[int, ...] = ()
+    # Copied from decomp in __post_init__, so the walks read them directly.
+    query: JoinQuery = field(init=False)
+    order: VariableOrder = field(init=False)
+    bags: tuple[tuple[str, ...], ...] = field(init=False)
+    links: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...] = field(init=False)
+    roots: tuple[int, ...] = field(init=False)
+    head_cols: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        self.links = child_links(self.bags, self.parent)
-        self.roots = tuple(i for i in range(len(self.bags)) if self.parent[i] is None)
+        d = self.decomp
+        self.query, self.order = d.query, d.order
+        self.bags, self.links, self.roots = d.bags, d.links, d.roots
         self.head_cols = tuple(self.order.position(v) for v in self.query.variables)
 
     # ------------------------------------------------------------------ #
@@ -253,37 +256,11 @@ class AccessIndex:
 
 
 # ---------------------------------------------------------------------- #
-# build; ordered_bags and count_groups are shared with load
-
-
-def ordered_bags(
-    bags: Sequence[frozenset[str]], order: VariableOrder
-) -> tuple[tuple[str, ...], ...]:
-    """Each bag's variables in order; its own variable, the latest, comes last."""
-    return tuple(tuple(sorted(bag, key=order.position)) for bag in bags)
-
-
-def child_links(
-    bags: Sequence[tuple[str, ...]], parent: dict[int, int | None]
-) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
-    """Per bag, its children in order, each with the key columns it takes.
-
-    A child hangs under the bag of its latest interface variable, so its key
-    is part of the parent's key followed by the parent's candidate:
-    ``tuple(key[k] for k in cols) + (value,)``.
-    """
-    links: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in bags]
-    for c, bag in enumerate(bags):
-        p = parent[c]
-        if p is not None:
-            links[p].append((c, tuple(bags[p].index(v) for v in bag[:-2])))
-    return tuple(map(tuple, links))
+# build; count_groups is shared with load
 
 
 def count_groups(
-    bags: Sequence[tuple[str, ...]],
-    parent: dict[int, int | None],
-    candidates: Sequence[dict[tuple[int, ...], list[int]]],
+    decomp: Decomposition, candidates: Sequence[dict[tuple[int, ...], list[int]]]
 ) -> tuple[tuple[GroupTable, ...], int]:
     """The full reducer's leaves-up half: group tables with prefix sums, and the answer count.
 
@@ -292,11 +269,10 @@ def count_groups(
     totals; one with no group in some child bag has none and is dropped, and
     so is a group left empty.
     """
-    n = len(bags)
-    links = child_links(bags, parent)
+    n = len(decomp.bags)
     tables: list[GroupTable | None] = [None] * n
     for i in range(n - 1, -1, -1):
-        kids = [(tables[c].groups, cols) for c, cols in links[i]]
+        kids = [(tables[c].groups, cols) for c, cols in decomp.links[i]]
         groups: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
         for key, values in candidates[i].items():
             heads = [(child, tuple(key[k] for k in cols)) for child, cols in kids]
@@ -320,7 +296,7 @@ def count_groups(
             if values:
                 groups[key] = (values, prefix)
         tables[i] = GroupTable(groups)
-    total = prod(tables[i].total(()) for i in range(n) if parent[i] is None)
+    total = prod(tables[i].total(()) for i in decomp.roots)
     return tuple(tables), total
 
 
@@ -343,8 +319,8 @@ def build_index(q: JoinQuery, order: VariableOrder, db: Database) -> AccessIndex
     order.check_against(q)
     var_types = _variable_types(q, db)
     decomp: Decomposition = decompose(q, order)
-    n = len(order.variables)
-    bag_vars = ordered_bags(decomp.bags, order)
+    bags = decomp.bags
+    n = len(bags)
     multiatom_joins = 0
 
     # Views over distinct variables: rows where repeated-variable columns agree.
@@ -355,11 +331,11 @@ def build_index(q: JoinQuery, order: VariableOrder, db: Database) -> AccessIndex
     rels: list[storage.Relation | None] = [None] * n
     candidates: list[dict[tuple[int, ...], list[int]]] = [{}] * n
     for i in range(n - 1, -1, -1):
-        bag = decomp.bags[i]
-        keep = bag_vars[i]
-        j = next((j for j in range(i + 1, n) if bag <= decomp.bags[j]), None)
+        keep = bags[i]
+        bag = frozenset(keep)
+        j = next((j for j in range(i + 1, n) if bag.issubset(bags[j])), None)
         if j is not None:
-            b = storage.project(rels[j], [bag_vars[j].index(v) for v in keep])
+            b = storage.project(rels[j], [bags[j].index(v) for v in keep])
         else:
             # One view per positive cover edge, from the first atom meeting the bag
             # in exactly that edge; an atom whose whole scope is the edge is its owner.
@@ -395,8 +371,8 @@ def build_index(q: JoinQuery, order: VariableOrder, db: Database) -> AccessIndex
     del rels
 
     # Leaves up with the counts, then roots down: an unreached group changes no count.
-    tables, total = count_groups(bag_vars, decomp.parent, candidates)
-    for i, links in enumerate(child_links(bag_vars, decomp.parent)):
+    tables, total = count_groups(decomp, candidates)
+    for i, links in enumerate(decomp.links):
         for c, cols in links:
             reached = {
                 tuple(key[k] for k in cols) + (v,)
@@ -407,12 +383,9 @@ def build_index(q: JoinQuery, order: VariableOrder, db: Database) -> AccessIndex
                 tables[c].groups = {k: e for k, e in tables[c].groups.items() if k in reached}
 
     return AccessIndex(
-        query=q,
-        order=order,
+        decomp=decomp,
         dictionary=db.dictionary,
         var_types=var_types,
-        bags=bag_vars,
-        parent=dict(decomp.parent),
         tables=tables,
         total_count=total,
         stats={

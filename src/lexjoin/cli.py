@@ -22,7 +22,7 @@ from math import prod
 from pathlib import Path
 
 from . import hardness, index_io, oracle, storage
-from .access import AccessIndex, build_index, ordered_bags
+from .access import AccessIndex, build_index
 from .decomposition import decompose
 from .errors import (
     InputError,
@@ -78,7 +78,6 @@ def cmd_analyze(args) -> int:
     report = gyo_reduce(h)
     trios = disruptive_trios(q, order)
     decomp = decompose(q, order)
-    bags = ordered_bags(decomp.bags, order)
     payload = {
         "schema": SCHEMA_VERSION,
         "name": q.name,
@@ -89,7 +88,7 @@ def cmd_analyze(args) -> int:
         "disruptive_trios": [list(t) for t in trios],
         "bags": [
             {
-                "variables": list(bags[i]),
+                "variables": list(bag),
                 "parent": decomp.parent[i],
                 "rho_star": str(decomp.bag_cover[i].total),
                 "cover": {
@@ -98,7 +97,7 @@ def cmd_analyze(args) -> int:
                     if w > 0
                 },
             }
-            for i in range(len(bags))
+            for i, bag in enumerate(decomp.bags)
         ],
         "iota": str(decomp.iota),
         "witness_bag": decomp.witness,
@@ -256,11 +255,11 @@ def _random_relations(rng: random.Random, symbols, count: int, domains: tuple[in
     return relations
 
 
-def _gen_star(args, outdir: Path, rng: random.Random) -> dict:
+def _gen_star(args, rng: random.Random):
     q, _ = hardness.star_query(args.k)  # its worst order is its head order
     domains = (args.x_domain, args.z_domain)
-    _write_instance(outdir, q, _random_relations(rng, q.symbols, args.per_relation, domains))
-    return {
+    relations = _random_relations(rng, q.symbols, args.per_relation, domains)
+    return lambda outdir: _write_instance(outdir, q, relations), {
         "k": args.k,
         "per_relation": args.per_relation,
         "x_domain": args.x_domain,
@@ -268,13 +267,13 @@ def _gen_star(args, outdir: Path, rng: random.Random) -> dict:
     }
 
 
-def _gen_setdisj(args, outdir: Path, rng: random.Random) -> dict:
+def _gen_setdisj(args, rng: random.Random):
     inst = hardness.random_set_family(
         rng, args.k, args.sets, args.universe, args.max_set_size, args.queries
     )
     q, _ = hardness.star_query(args.k)
-    _write_instance(outdir, q, hardness.set_family_rows(inst))
-    return {
+    relations = hardness.set_family_rows(inst)
+    return lambda outdir: _write_instance(outdir, q, relations), {
         "k": args.k,
         "sets_per_family": args.sets,
         "universe": args.universe,
@@ -283,12 +282,11 @@ def _gen_setdisj(args, outdir: Path, rng: random.Random) -> dict:
     }
 
 
-def _gen_zeroclique(args, outdir: Path, rng: random.Random) -> dict:
+def _gen_zeroclique(args, rng: random.Random):
     g, planted = hardness.random_partite_instance(
         rng, args.parts, args.part_size, args.weight_bound, plant=args.planted
     )
-    hardness.write_partite_graph(outdir / "graph.txt", g)
-    return {
+    return lambda outdir: hardness.write_partite_graph(outdir / "graph.txt", g), {
         "parts": args.parts,
         "part_size": args.part_size,
         "weight_bound": args.weight_bound,
@@ -298,22 +296,25 @@ def _gen_zeroclique(args, outdir: Path, rng: random.Random) -> dict:
     }
 
 
-def _gen_lw(args, outdir: Path, rng: random.Random) -> dict:
+def _gen_lw(args, rng: random.Random):
     q = hardness.lw_query(args.k)
     domains = (args.domain,) * (args.k - 1)
-    _write_instance(outdir, q, _random_relations(rng, q.symbols, args.per_relation, domains))
-    return {"k": args.k, "per_relation": args.per_relation, "domain": args.domain}
+    relations = _random_relations(rng, q.symbols, args.per_relation, domains)
+    params = {"k": args.k, "per_relation": args.per_relation, "domain": args.domain}
+    return lambda outdir: _write_instance(outdir, q, relations), params
 
 
+# A generator draws, so checks its arguments, before returning a writer and sidecar fields.
 _GENERATORS = {
     "star": _gen_star, "setdisj": _gen_setdisj, "zeroclique": _gen_zeroclique, "lw": _gen_lw
 }
 
 
 def cmd_gen(args) -> int:
+    write, params = _GENERATORS[args.family](args, random.Random(args.seed))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    params = _GENERATORS[args.family](args, outdir, random.Random(args.seed))
+    write(outdir)
     sidecar = {"schema": SCHEMA_VERSION, "family": args.family, "seed": args.seed, **params}
     (outdir / "gen.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     return 0

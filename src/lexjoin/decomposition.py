@@ -9,6 +9,9 @@ expensive that bag is to materialize.  The maximum of those numbers is the
 incompatibility number of the (query, order) pair: 1 exactly in the easy
 cases, larger as the order fights the query shape.
 
+``decompose`` derives the bag forest once for build, load, counting and the
+walks; the covers, and iota with them, are solved on first read.
+
 All cover arithmetic is exact (``fractions.Fraction``); nothing here ever
 touches floating point.
 """
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from . import hypergraph as hg
@@ -150,32 +153,49 @@ def join_forest(bags: Sequence[frozenset[str]], order: VariableOrder) -> dict[in
 
 @dataclass(frozen=True)
 class Decomposition:
-    """The order-induced decomposition bundled with its covers and forest."""
+    """The order-induced bag forest; the covers and iota are solved on first read."""
 
+    query: JoinQuery
     order: VariableOrder
-    bags: tuple[frozenset[str], ...]
+    bags: tuple[tuple[str, ...], ...]  # order-sorted, own variable last
     parent: dict[int, int | None]
-    bag_cover: tuple[FractionalCover, ...]
-    iota: Fraction
-    witness: int
+    # Per bag, its children in order, each with the key columns it takes.
+    links: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
+    roots: tuple[int, ...]
+
+    @cached_property
+    def bag_cover(self) -> tuple[FractionalCover, ...]:
+        h = hypergraph_of(self.query)
+        return tuple(fractional_edge_cover(hg.induced(h, bag)) for bag in self.bags)
+
+    @property
+    def witness(self) -> int:
+        """The first bag whose cover number is iota."""
+        totals = [cover.total for cover in self.bag_cover]
+        return totals.index(max(totals))
+
+    @property
+    def iota(self) -> Fraction:
+        return self.bag_cover[self.witness].total
 
 
 @lru_cache(maxsize=64)
 def decompose(q: JoinQuery, order: VariableOrder) -> Decomposition:
-    """Bags, parents, per-bag covers and iota; cached, so callers must not mutate it."""
-    h = hypergraph_of(q)
-    bags = disruption_free_iterative(q, order)
-    parent = join_forest(bags, order)
-    covers = []
-    iota = Fraction(0)
-    witness = 0
-    for i, bag in enumerate(bags):
-        cover = fractional_edge_cover(hg.induced(h, bag))
-        covers.append(cover)
-        if cover.total > iota:
-            iota = cover.total
-            witness = i
-    return Decomposition(order, tuple(bags), parent, tuple(covers), iota, witness)
+    """The bag forest of ``q`` under ``order``; cached, so callers must not mutate it.
+
+    A child hangs under the bag of its latest interface variable, so its key
+    is part of the parent's key followed by the parent's candidate:
+    ``tuple(key[k] for k in cols) + (value,)`` for ``(child, cols)`` in links.
+    """
+    sets = disruption_free_iterative(q, order)
+    parent = join_forest(sets, order)
+    bags = tuple(tuple(sorted(bag, key=order.position)) for bag in sets)
+    links: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in bags]
+    for c, p in parent.items():
+        if p is not None:
+            links[p].append((c, tuple(bags[p].index(v) for v in bags[c][:-2])))
+    roots = tuple(c for c, p in parent.items() if p is None)
+    return Decomposition(q, order, bags, parent, tuple(map(tuple, links)), roots)
 
 
 @dataclass(frozen=True)

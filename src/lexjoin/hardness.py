@@ -140,6 +140,8 @@ def prefix_block(ix: AccessIndex, values: Sequence) -> tuple[int, int]:
     Answers sharing a fixed prefix on the leading variables of the order are
     contiguous; one index walk over the prefix's variables locates the block.
     """
+    if len(values) > len(ix.order.variables):
+        raise InputError(f"expected at most {len(ix.order.variables)} values, got {len(values)}")
     codes = []
     for i, v in enumerate(values):
         var = ix.order.variables[i]

@@ -1,23 +1,24 @@
 """Versioned binary container for a built index (magic ``LJDA2``).
 
-Only each group's sorted candidates are stored: the bags and their forest
-follow from the query, and load recomputes the prefix sums and the answer
-count with the build's own counting pass (``access.count_groups``), the full
-reducer's leaves-up half.  A file must hold a fully reduced index: load
-rejects it when that pass drops a candidate, one with no group in some child
-bag.  The roots-down half is not checked: no walk visits a group that no
-parent candidate reaches, so it changes no answer, and finding one would cost
-up to half a load.
+Only each group's sorted candidates are stored: the bag forest comes from
+``decompose`` on the stored query, solving no LP, and load recomputes the
+prefix sums and the answer count with the build's own counting pass
+(``access.count_groups``), the full reducer's leaves-up half.  A file must
+hold a fully reduced index: load rejects it when that pass drops a candidate,
+one with no group in some child bag.  The roots-down half is not checked: no
+walk visits a group that no parent candidate reaches, so it changes no
+answer, and finding one would cost up to half a load.
 
 Layout, in stream order (all integers LEB128 unsigned varints unless noted):
 
 ===========================  ===================================================
 magic                        5 bytes, ``b"LJDA2"``; bumping the trailing digit
                              is the format version, loaders reject anything else
-dictionary                   pool count; per pool (sorted by type name):
-                             1 tag byte (0 int, 1 string), value count, then the
-                             sorted values (ints: zigzag first value then gap
-                             varints; strings: length-prefixed UTF-8)
+dictionary                   pool count; per pool, in increasing type name with
+                             none repeated: 1 tag byte (0 int, 1 string), value
+                             count, then the strictly increasing values (ints:
+                             zigzag first value then gap varints; strings:
+                             length-prefixed UTF-8)
 query                        length-prefixed canonical query text, including an
                              ORDER clause when the order differs from the head
 variable types               one tag byte per order position
@@ -38,8 +39,8 @@ import io
 import zlib
 from pathlib import Path
 
-from .access import AccessIndex, count_groups, ordered_bags
-from .decomposition import disruption_free_iterative, join_forest
+from .access import AccessIndex, count_groups
+from .decomposition import decompose
 from .errors import InputError
 from .query import format_query, parse_query
 from .storage import TYPE_INT, TYPE_STRING, ValueDictionary
@@ -194,22 +195,24 @@ def _decode(blob: bytes) -> AccessIndex:
     npools = r.uvarint()
     for _ in range(npools):
         type_name = r.type_name()
+        if pools and type_name <= max(pools):
+            raise InputError("index file value pools are repeated or out of order")
         count = r.uvarint()
         if type_name == TYPE_INT:
             pools[type_name] = r.increasing(_unzigzag(r.uvarint()), count) if count else []
         else:
-            pools[type_name] = [r.text() for _ in range(count)]
+            values = pools[type_name] = [r.text() for _ in range(count)]
+            if any(a >= b for a, b in zip(values, values[1:])):
+                raise InputError("index file values are not strictly increasing")
     dictionary = ValueDictionary(pools)
 
     q, order = parse_query(r.text())
 
     var_types = {v: r.type_name() for v in order.variables}
 
-    bag_sets = disruption_free_iterative(q, order)
-    parent = join_forest(bag_sets, order)
-    bags = ordered_bags(bag_sets, order)
+    decomp = decompose(q, order)
     candidates, stored_rows = [], []
-    for i, bag in enumerate(bags):
+    for i, bag in enumerate(decomp.bags):
         pool = dictionary.pool_codes(var_types[bag[-1]])
         groups: dict[tuple[int, ...], list[int]] = {}
         last_key = None
@@ -230,20 +233,17 @@ def _decode(blob: bytes) -> AccessIndex:
     if not r.at_end():
         raise InputError("trailing bytes after index payload")
 
-    tables, total = count_groups(bags, parent, candidates)
+    tables, total = count_groups(decomp, candidates)
     bag_rows = [table.rows() for table in tables]
-    for i in reversed(range(len(bags))):  # a bag's loss may come from a child's: name the latest
+    for i in reversed(range(len(bag_rows))):  # a bag's loss may come from a child's: name the latest
         if bag_rows[i] != stored_rows[i]:
-            kids = " or ".join(str(c) for c, p in parent.items() if p == i)
+            kids = " or ".join(str(c) for c, _ in decomp.links[i])
             raise InputError(f"bag {i}: a candidate has no group in child bag {kids}")
 
     return AccessIndex(
-        query=q,
-        order=order,
+        decomp=decomp,
         dictionary=dictionary,
         var_types=var_types,
-        bags=bags,
-        parent=parent,
         tables=tables,
         total_count=total,
         stats={"bag_rows": bag_rows},

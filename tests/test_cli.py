@@ -268,6 +268,7 @@ def test_gen_unsatisfiable_arguments_exit_2(tmp_path, case):
     )
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:") and message in proc.stderr
+    assert not (tmp_path / "g").exists()
 
 
 def test_build_logs_each_phase_under_lexjoin_log(workdir):

@@ -80,6 +80,16 @@ def test_encode_disjoint_singletons():
     assert not hd.projected_star_test(ix, (1, 1))
 
 
+def test_prefix_block_rejects_more_values_than_variables():
+    inst = hd.SetFamilyInstance(
+        (7,), ((frozenset({7}),), (frozenset({7}),)), ((1, 1),)
+    )
+    ix = build_index(*hd.star_query(2), hd.encode_set_disjointness(inst))
+    assert hd.prefix_block(ix, (1, 1, 7)) == (0, 1)
+    with pytest.raises(InputError, match="expected at most 3 values, got 4"):
+        hd.prefix_block(ix, (1, 1, 1, 1))
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_disjointness_agreement_random(k):
     rng = random.Random(100 + k)

@@ -4,9 +4,11 @@ import zlib
 
 import pytest
 
+import lexjoin.simplex
 from lexjoin import build_database
 from lexjoin.access import build_index
 from lexjoin.cli import main
+from lexjoin.decomposition import decompose
 from lexjoin.errors import InputError, LexjoinError
 from lexjoin.hardness import star_query
 from lexjoin.index_io import MAGIC, load_index, save_index
@@ -63,6 +65,7 @@ def test_roundtrip_random_instances(tmp_path):
             assert loaded.access(j) == row
         assert loaded.tables == ix.tables
         assert loaded.stats["bag_rows"] == ix.stats["bag_rows"]
+        assert (loaded.bags, loaded.links, loaded.roots) == (ix.bags, ix.links, ix.roots)
         resaved = tmp_path / f"t{trial}.again.idx"
         save_index(loaded, resaved)
         assert resaved.read_bytes() == path.read_bytes()
@@ -104,6 +107,10 @@ def test_truncation_rejected(tmp_path):
         load_index(path)
 
 
+# The dictionary section of sample_index's file: two pools; ints -4, 1, 2, 5, 7
+# (zigzag -4, then gaps) and strings "a", "b", "c".
+SAMPLE_DICTIONARY = bytes((2, 0, 5, 7, 5, 1, 3, 2, 1, 3, 1, 97, 1, 98, 1, 99))
+
 # The groups section of sample_index's file, per bag in order:
 # {z}: one group, candidates 3, 4 (z = 5, 7);
 # {z, y}: groups 3 -> [5], 4 -> [6] (y = "a", "b");
@@ -115,6 +122,8 @@ SAMPLE_GROUPS = bytes((1, 2, 3, 1, 2, 3, 1, 5, 4, 1, 6, 2, 5, 2, 0, 1, 6, 2, 1, 
 CORRUPTIONS = {
     "ljda1-magic": ("magic", len(MAGIC) - 1, ord("1"), "unsupported index format"),
     "ljda9-magic": ("magic", len(MAGIC) - 1, ord("9"), "unsupported index format"),
+    "repeated-pool": ("dictionary", 8, 0, "pools are repeated or out of order"),
+    "unsorted-string-pool": ("dictionary", 11, ord("d"), "not strictly increasing"),
     "query-text": ("query", 11, ord("="), "1:12: expected ':-'"),
     "zero-gap": ("groups", 3, 0, "not strictly increasing"),
     "empty-group": ("groups", 13, 0, "empty group"),
@@ -134,8 +143,10 @@ def test_resealed_corruption_rejected(tmp_path, capsys, case):
     payload = bytearray(path.read_bytes()[:-4])
     text = format_query(q, order).encode("utf-8")
     groups = payload.index(text) + len(text) + len(order.variables)
+    assert payload[len(MAGIC) : len(MAGIC) + len(SAMPLE_DICTIONARY)] == SAMPLE_DICTIONARY
     assert payload[groups:] == SAMPLE_GROUPS
-    start = {"magic": 0, "query": payload.index(text), "groups": groups}[section]
+    starts = {"magic": 0, "dictionary": len(MAGIC), "query": payload.index(text), "groups": groups}
+    start = starts[section]
     payload[start + offset] = value
     path.write_bytes(bytes(payload) + zlib.crc32(payload).to_bytes(4, "little"))
     with pytest.raises(InputError, match=message) as caught:
@@ -144,6 +155,35 @@ def test_resealed_corruption_rejected(tmp_path, capsys, case):
     assert main(["count", "-i", str(path)]) == 2
     err = capsys.readouterr().err
     assert message in err and str(path) in err
+
+
+def test_second_int_pool_rejected(tmp_path):
+    # A well-formed file with an extra int pool in front: it would replace the first.
+    q, order = parse_query("Q(x) :- R(x).")
+    path = tmp_path / "ints.idx"
+    save_index(build_index(q, order, build_database({"R": (["int"], [(3,), (5,)])})), path)
+    payload = bytearray(path.read_bytes()[:-4])
+    assert payload[len(MAGIC) : len(MAGIC) + 5] == bytes((1, 0, 2, 6, 2))
+    payload[len(MAGIC) : len(MAGIC) + 1] = bytes((2, 0, 2, 0, 2))  # pool 0, 2 first
+    path.write_bytes(bytes(payload) + zlib.crc32(payload).to_bytes(4, "little"))
+    with pytest.raises(InputError, match="pools are repeated or out of order"):
+        load_index(path)
+
+
+def test_cold_load_solves_no_lp(tmp_path, monkeypatch):
+    q, order, _, ix = sample_index()
+    path = tmp_path / "q.idx"
+    save_index(ix, path)
+    decompose.cache_clear()
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("load solved a linear program")
+
+    monkeypatch.setattr(lexjoin.simplex, "solve_min", no_lp)
+    loaded = load_index(path)
+    assert [loaded.access(j) for j in range(loaded.count())] == [
+        ix.access(j) for j in range(ix.count())
+    ]
 
 
 def test_fuzzed_index_bytes_load_consistently_or_fail_cleanly(tmp_path):
