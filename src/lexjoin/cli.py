@@ -313,10 +313,13 @@ _GENERATORS = {
 def cmd_gen(args) -> int:
     write, params = _GENERATORS[args.family](args, random.Random(args.seed))
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    write(outdir)
     sidecar = {"schema": SCHEMA_VERSION, "family": args.family, "seed": args.seed, **params}
-    (outdir / "gen.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        write(outdir)
+        (outdir / "gen.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise InputError(f"cannot write {exc.filename or outdir}: {exc.strerror}") from None
     return 0
 
 
@@ -419,6 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     level = os.environ.get("LEXJOIN_LOG")
     if level:
+        if not isinstance(logging.getLevelName(level.upper()), int):
+            print(f"error: LEXJOIN_LOG={level!r} is not a log level name", file=sys.stderr)
+            return 2
         logging.basicConfig(level=level.upper(), stream=sys.stderr)
     parser = build_parser()
     args = parser.parse_args(argv)

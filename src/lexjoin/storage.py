@@ -9,6 +9,9 @@ database, and the pools occupy disjoint code ranges, so a variable can join
 columns of different relations safely and values of different types never
 collide.
 
+A database is built a column at a time: each column is parsed or type-checked
+once, pooled into one set per type and encoded through one dict per type.
+
 The on-disk format is a JSON manifest naming CSV files::
 
     {"relations": {"R1": {"file": "r1.csv", "types": ["int", "string"]}}}
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import InputError
+from .errors import InputError, InternalError
 
 TYPE_INT = "int"
 TYPE_STRING = "string"
@@ -51,51 +54,41 @@ def read_text(path: str | Path, what: str) -> str:
         raise InputError(f"{what} {path} is not valid UTF-8") from None
 
 
-def _parse_value(raw: str, type_name: str):
-    if type_name == TYPE_INT:
-        try:
-            return int(raw)
-        except ValueError:
-            raise InputError(f"cannot parse {raw!r} as int") from None
-    return raw
-
-
 class ValueDictionary:
     """Order-preserving value <-> code mapping, one pool per type.
 
     Codes are assigned after all values are known: each pool is sorted, and
     pools are laid out one after the other (ints first, then strings), so
-    within a pool ``encode`` is strictly monotone.
+    within a pool ``encode`` is strictly monotone.  Each type has one ``value -> code`` dict.
     """
 
-    def __init__(self, pools: dict[str, list]):
-        self._codes: dict[tuple[str, object], int] = {}
-        self._values: list[tuple[str, object]] = []
+    def __init__(self, pools: dict[str, Iterable]):
+        self._codes: dict[str, dict[object, int]] = {}
+        self._values: list = []
         self.pool_values: dict[str, list] = {}
         self._pool_codes: dict[str, range] = {}
         for type_name in sorted(pools):
             ordered = sorted(set(pools[type_name]))
+            codes = range(len(self._values), len(self._values) + len(ordered))
             self.pool_values[type_name] = ordered
-            start = len(self._values)
-            for v in ordered:
-                self._codes[(type_name, v)] = len(self._values)
-                self._values.append((type_name, v))
-            self._pool_codes[type_name] = range(start, len(self._values))
+            self._codes[type_name] = dict(zip(ordered, codes))
+            self._values += ordered
+            self._pool_codes[type_name] = codes
 
     def __len__(self) -> int:
         return len(self._values)
 
     def encode(self, type_name: str, value) -> int:
         try:
-            return self._codes[(type_name, value)]
+            return self._codes[type_name][value]
         except KeyError:
             raise KeyError(f"value {value!r} ({type_name}) not in dictionary") from None
 
     def try_encode(self, type_name: str, value) -> int | None:
-        return self._codes.get((type_name, value))
+        return self._codes.get(type_name, {}).get(value)
 
     def decode(self, code: int):
-        return self._values[code][1]
+        return self._values[code]
 
     def pool_codes(self, type_name: str) -> range:
         """The codes of one type's values; empty when the type has no values."""
@@ -108,9 +101,9 @@ class Relation:
     def __init__(self, arity: int, rows: Iterable[tuple[int, ...]]):
         self.arity = arity
         self.rows: tuple[tuple[int, ...], ...] = tuple(sorted(set(rows)))
-        for row in self.rows:
-            if len(row) != arity:
-                raise InputError(f"row of width {len(row)} in relation of arity {arity}")
+        if set(map(len, self.rows)) - {arity}:
+            width = next(len(row) for row in self.rows if len(row) != arity)
+            raise InputError(f"row of width {width} in relation of arity {arity}")
         self._views: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         self._row_set: frozenset[tuple[int, ...]] | None = None
 
@@ -151,33 +144,77 @@ class Database:
             raise InputError(f"relation {symbol!r} not bound in the database") from None
 
 
-def build_database(raw: dict[str, tuple[Sequence[str], Iterable[tuple]]]) -> Database:
-    """Build a database from ``{symbol: (types, raw rows)}`` already in memory."""
-    parsed: dict[str, tuple[tuple[str, ...], list[tuple]]] = {}
-    pools: dict[str, list] = {}
-    for symbol, (types, rows) in raw.items():
-        types = tuple(normalize_type(t) for t in types)
-        rows = [tuple(row) for row in rows]
-        for row in rows:
-            if len(row) != len(types):
-                raise InputError(
-                    f"relation {symbol}: row of width {len(row)}, expected {len(types)}"
-                )
-            for t, v in zip(types, row):
-                if t == TYPE_INT and not isinstance(v, int):
-                    raise InputError(f"relation {symbol}: {v!r} is not an int")
-                if t == TYPE_STRING and not isinstance(v, str):
-                    raise InputError(f"relation {symbol}: {v!r} is not a string")
-                pools.setdefault(t, []).append(v)
-        parsed[symbol] = (types, rows)
+def _encode(columnar: dict[str, tuple[tuple[str, ...], list, int]]) -> Database:
+    """Encode ``{symbol: (types, typed columns, row count)}``, pooling each type as one set."""
+    pools: dict[str, set] = {}
+    for types, columns, _ in columnar.values():
+        for t, col in zip(types, columns):
+            if col:  # a type with no values has no pool
+                pools.setdefault(t, set()).update(col)
     dictionary = ValueDictionary(pools)
     relations = {}
-    column_types = {}
-    for symbol, (types, rows) in parsed.items():
-        encoded = [tuple(dictionary.encode(t, v) for t, v in zip(types, row)) for row in rows]
-        relations[symbol] = Relation(len(types), encoded)
-        column_types[symbol] = types
-    return Database(relations, dictionary, column_types)
+    for symbol, (types, columns, height) in columnar.items():
+        if types and height:
+            rows = zip(*[map(dictionary._codes[t].__getitem__, c) for t, c in zip(types, columns)])
+        else:  # no values to encode: no rows, or the nullary relation's ()
+            rows = [()] * height
+        relations[symbol] = Relation(len(types), rows)
+    return Database(relations, dictionary, {s: c[0] for s, c in columnar.items()})
+
+
+def build_database(raw: dict[str, tuple[Sequence[str], Iterable[tuple]]]) -> Database:
+    """Build a database from ``{symbol: (types, raw rows)}`` already in memory."""
+    columnar = {}
+    for symbol, (types, rows) in raw.items():
+        types = tuple(normalize_type(t) for t in types)
+        rows = list(map(tuple, rows))
+        if set(map(len, rows)) - {len(types)}:
+            width = next(len(row) for row in rows if len(row) != len(types))
+            raise InputError(f"relation {symbol}: row of width {width}, expected {len(types)}")
+        columns = list(zip(*rows)) or [()] * len(types)
+        for t, col in zip(types, columns):
+            cls, what = (int, "an int") if t == TYPE_INT else (str, "a string")
+            if not all(issubclass(c, cls) for c in set(map(type, col))):
+                bad = next(v for v in col if not isinstance(v, cls))
+                raise InputError(f"relation {symbol}: {bad!r} is not {what}")
+        columnar[symbol] = (types, columns, len(rows))
+    return _encode(columnar)
+
+
+def _read_columns(symbol: str, path: Path, types: list[str] | None):
+    """``(types, typed columns, row count)`` of one CSV file; undeclared types are strings."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            records = list(csv.reader(fh))
+    except OSError as exc:
+        raise InputError(f"cannot read relation file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise InputError(f"relation file {path} is not valid UTF-8") from None
+    rows = [r for r in records if r]  # an empty record is a blank line
+    if types is None and not rows:
+        raise InputError(f"relation {symbol}: cannot infer arity of an empty file; declare 'types'")
+    types = tuple([TYPE_STRING] * len(rows[0]) if types is None else types)
+    if set(map(len, rows)) - {len(types)}:
+        _raise_bad_record(path, records, types)
+    columns = list(zip(*rows)) or [()] * len(types)
+    try:
+        columns = [list(map(int, c)) if t == TYPE_INT else c for t, c in zip(types, columns)]
+    except ValueError:
+        _raise_bad_record(path, records, types)
+    return types, columns, len(rows)
+
+
+def _raise_bad_record(path: Path, records: list[list[str]], types: tuple[str, ...]) -> None:
+    """Name the first record, counting blank lines, of the wrong width or with a bad int."""
+    for lineno, record in enumerate(records, start=1):
+        if record and len(record) != len(types):
+            raise InputError(f"{path}:{lineno}: expected {len(types)} fields, got {len(record)}")
+        for f in (f for f, t in zip(record, types) if t == TYPE_INT):
+            try:
+                int(f)
+            except ValueError:
+                raise InputError(f"{path}:{lineno}: cannot parse {f!r} as int") from None
+    raise InternalError(f"{path}: a column check failed on no record")
 
 
 def load(manifest_path: str | Path) -> Database:
@@ -189,8 +226,7 @@ def load(manifest_path: str | Path) -> Database:
         raise InputError(f"bad manifest {manifest_path}: {exc}") from None
     if not isinstance(manifest, dict) or not isinstance(manifest.get("relations"), dict):
         raise InputError(f"manifest {manifest_path} lacks a 'relations' object")
-    base = manifest_path.parent
-    raw: dict[str, tuple[Sequence[str], list[tuple]]] = {}
+    columnar = {}
     for symbol, entry in manifest["relations"].items():
         try:
             file_name = entry["file"]
@@ -203,30 +239,8 @@ def load(manifest_path: str | Path) -> Database:
             if not isinstance(types, list) or not all(isinstance(t, str) for t in types):
                 raise InputError(f"manifest entry for {symbol}: 'types' must be a list of names")
             types = [normalize_type(t) for t in types]
-        path = base / file_name
-        rows: list[tuple] = []
-        try:
-            with open(path, newline="", encoding="utf-8") as fh:
-                for lineno, record in enumerate(csv.reader(fh), start=1):
-                    if not record:
-                        continue
-                    if types is None:  # undeclared columns default to strings
-                        types = [TYPE_STRING] * len(record)
-                    if len(record) != len(types):
-                        raise InputError(
-                            f"{path}:{lineno}: expected {len(types)} fields, got {len(record)}"
-                        )
-                    rows.append(tuple(_parse_value(f, t) for f, t in zip(record, types)))
-        except OSError as exc:
-            raise InputError(f"cannot read relation file {path}: {exc.strerror}") from None
-        except UnicodeDecodeError:
-            raise InputError(f"relation file {path} is not valid UTF-8") from None
-        if types is None:
-            raise InputError(
-                f"relation {symbol}: cannot infer arity of an empty file; declare 'types'"
-            )
-        raw[symbol] = (types, rows)
-    return build_database(raw)
+        columnar[symbol] = _read_columns(symbol, manifest_path.parent / file_name, types)
+    return _encode(columnar)
 
 
 def project(r: Relation, attrs: Sequence[int]) -> Relation:

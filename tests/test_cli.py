@@ -271,6 +271,39 @@ def test_gen_unsatisfiable_arguments_exit_2(tmp_path, case):
     assert not (tmp_path / "g").exists()
 
 
+# Each puts something in the way of one file or directory that gen writes.
+GEN_UNWRITABLE = {
+    "out-is-a-file": ("star", lambda out: out.write_text("keep\n"), ""),
+    "query-file-is-a-directory": (
+        "star", lambda out: (out / "query.jq").mkdir(parents=True), "query.jq"
+    ),
+    "graph-file-is-a-directory": (
+        "zeroclique", lambda out: (out / "graph.txt").mkdir(parents=True), "graph.txt"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(GEN_UNWRITABLE))
+def test_gen_unwritable_output_exit_2(tmp_path, capsys, case):
+    family, block, name = GEN_UNWRITABLE[case]
+    out = tmp_path / "g"
+    block(out)
+    code, _, err = run(capsys, "gen", family, "--k", "2", "--per-relation", "5", "-o", out)
+    assert code == 2
+    assert err.startswith("error: cannot write ") and str(out / name) in err
+    assert "Traceback" not in err
+
+
+def test_unknown_lexjoin_log_level_exit_2(workdir):
+    proc = subprocess.run(
+        [sys.executable, "-m", "lexjoin", "analyze", "q.jq"],
+        cwd=workdir, env=dict(src_env(), LEXJOIN_LOG="bogus"), capture_output=True, text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: LEXJOIN_LOG='bogus' is not a log level name"]
+
+
 def test_build_logs_each_phase_under_lexjoin_log(workdir):
     argv = [sys.executable, "-m", "lexjoin", "build", "-q", "q.jq", "-m", "manifest.json"]
     outputs = {}

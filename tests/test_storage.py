@@ -1,5 +1,8 @@
+import csv
+import io
 import json
 import random
+import re
 
 import pytest
 
@@ -96,6 +99,28 @@ def test_type_parse_failure(tmp_path):
         load(path)
 
 
+def test_type_parse_failure_names_file_and_line(tmp_path):
+    # Lines are CSV records, blank lines included.
+    path = write_manifest(tmp_path, {"R": (["int", "string"], "1,a\n\n2,b\nx,c\n")})
+    message = f"{tmp_path / 'R.csv'}:4: cannot parse 'x' as int"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        load(path)
+
+
+def test_width_mismatch_names_file_and_line(tmp_path):
+    path = write_manifest(tmp_path, {"R": (["int", "int"], "1,2\n\n3\n")})
+    message = f"{tmp_path / 'R.csv'}:3: expected 2 fields, got 1"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        load(path)
+
+
+def test_first_bad_record_is_reported(tmp_path):
+    # A bad int on line 2 comes before a short record on line 3, whichever column it is in.
+    path = write_manifest(tmp_path, {"R": (["int", "int"], "1,2\n3,y\n4\nz,5\n")})
+    with pytest.raises(InputError, match=r":2: cannot parse 'y' as int$"):
+        load(path)
+
+
 def test_rfc4180_quoting(tmp_path):
     path = write_manifest(tmp_path, {"R": (["string"], '"hello, world"\n"with ""quotes"""\n')})
     db = load(path)
@@ -169,6 +194,117 @@ def test_empty_file_without_types_rejected(tmp_path):
     )
     with pytest.raises(InputError):
         load(tmp_path / "manifest.json")
+
+
+def test_build_database_nullary_relation_keeps_its_row():
+    db = build_database({"E": ([], [()]), "F": ([], [(), ()]), "G": ([], [])})
+    assert db.relations["E"].rows == db.relations["F"].rows == ((),)
+    assert db.relations["G"].rows == ()
+    assert db.size == 2
+
+
+def test_build_database_accepts_bool_as_int():
+    db = build_database({"R": (["int"], [(True,), (2,)])})
+    assert [db.dictionary.decode(c) for (c,) in db.relations["R"].rows] == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "types, rows, message",
+    [
+        (["int", "int"], [(1, 2), (3, "4")], "relation R: '4' is not an int"),
+        (["string"], [("a",), (5,)], "relation R: 5 is not a string"),
+        (["int"], [(1.0,)], "relation R: 1.0 is not an int"),
+        (["int", "int"], [(1, 2), (3,)], "relation R: row of width 1, expected 2"),
+    ],
+)
+def test_build_database_rejects_bad_rows(types, rows, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        build_database({"R": (types, rows)})
+
+
+def reference_load(tables):
+    """Row by row, as a loader that parses, checks and encodes each field would.
+
+    ``tables`` maps a symbol to (declared types or None, CSV text).  Returns the
+    encoded rows per symbol, the column types and the sorted value pools.
+    """
+    parsed, pools = {}, {}
+    for sym, (types, text) in tables.items():
+        rows = []
+        for record in csv.reader(io.StringIO(text, newline="")):
+            if not record:
+                continue
+            types = types or ["string"] * len(record)
+            row = tuple(int(f) if t == "int" else f for f, t in zip(record, types))
+            for t, v in zip(types, row):
+                pools.setdefault(t, set()).add(v)
+            rows.append(row)
+        parsed[sym] = (tuple(types), rows)
+    pool_values = {t: sorted(pools[t]) for t in sorted(pools)}
+    flat = [(t, v) for t in pool_values for v in pool_values[t]]
+    codes = {tv: code for code, tv in enumerate(flat)}
+    encoded = {
+        sym: tuple(sorted({tuple(codes[(t, v)] for t, v in zip(types, row)) for row in rows}))
+        for sym, (types, rows) in parsed.items()
+    }
+    return encoded, {sym: types for sym, (types, _) in parsed.items()}, pool_values
+
+
+STRINGS = ["a", "b", "a,b", 'say "hi"', "two\nlines", " padded ", "é", "", "10", "-3"]
+
+
+def random_int_field(rng, v):
+    """One of several spellings int() reads as v."""
+    text = str(v)
+    spellings = [text, f" {text} ", f"{text}\t"]
+    if v >= 0:
+        spellings.append(f"+{text}")
+    if abs(v) >= 10:
+        spellings.append(text[:-1] + "_" + text[-1])
+    return rng.choice(spellings)
+
+
+def random_csv(rng, kinds, min_rows):
+    """CSV text of random rows (duplicates likely) with random quoting and blank lines."""
+    lines = []
+    for _ in range(rng.randint(min_rows, 12)):
+        fields = [
+            random_int_field(rng, rng.randint(-12, 12)) if t == "int" else rng.choice(STRINGS)
+            for t in kinds
+        ]
+        out = io.StringIO()
+        quoting = csv.QUOTE_ALL if rng.random() < 0.3 else csv.QUOTE_MINIMAL
+        terminator = rng.choice(["\n", "\r\n"])
+        csv.writer(out, quoting=quoting, lineterminator=terminator).writerow(fields)
+        lines.append(out.getvalue())
+        if rng.random() < 0.2:
+            lines.append(rng.choice(["\n", "\r\n"]))
+    return "".join(lines)
+
+
+def test_columnwise_load_matches_rowwise_reference(tmp_path):
+    rng = random.Random(11)
+    for trial in range(150):
+        d = tmp_path / str(trial)
+        d.mkdir()
+        tables, manifest = {}, {"relations": {}}
+        for i in range(rng.randint(1, 3)):
+            sym = f"R{i}"
+            entry = manifest["relations"][sym] = {"file": f"{sym}.csv"}
+            kinds = [rng.choice(["int", "string"]) for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.7:
+                entry["types"] = kinds
+            else:  # undeclared: every column is a string, and an empty file has no arity
+                kinds = ["string"] * len(kinds)
+            text = random_csv(rng, kinds, min_rows=0 if "types" in entry else 1)
+            (d / f"{sym}.csv").write_bytes(text.encode("utf-8"))
+            tables[sym] = (entry.get("types"), text)
+        (d / "manifest.json").write_text(json.dumps(manifest))
+        db = load(d / "manifest.json")
+        rows, column_types, pools = reference_load(tables)
+        assert {sym: r.rows for sym, r in db.relations.items()} == rows, trial
+        assert db.column_types == column_types, trial
+        assert db.dictionary.pool_values == pools, trial
 
 
 def fuzz_load(path, mutants):
