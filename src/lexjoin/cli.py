@@ -327,8 +327,8 @@ def cmd_gen(args) -> int:
 # wiring
 
 
-def _add_format(p, default="csv"):
-    p.add_argument("--format", choices=["csv", "json", "text"], default=default)
+def _add_format(p):
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
 
 
 def build_parser() -> argparse.ArgumentParser:

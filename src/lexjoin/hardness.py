@@ -341,6 +341,7 @@ def apply_weight_randomization(
     y values attached to the last-part endpoint; the enumeration variant
     additionally shifts first-part vertices, moving their offset onto the
     edge into part 2.  Cross-clique sums cancel every offset exactly.
+    ``g`` may hold integer weights or residues: x * w = x * (w mod p) mod p.
     """
     k = len(g.parts) - 1
     if k < 2:
@@ -377,7 +378,11 @@ def randomize_weights(
     rng: random.Random,
     variant: str = VARIANT_INTERSECTION,
 ) -> tuple[WeightedCliqueInstance, WeightRandomness]:
-    """Sample x != 0 and all offsets uniformly from the field, then apply them."""
+    """Sample x != 0 and all offsets uniformly from the field, then apply them.
+
+    The draws depend only on the parts, so integer or residue weights give
+    the same instance.
+    """
     k = len(g.parts) - 1
     if k < 2:
         raise InputError("weight randomization needs at least three parts")
@@ -426,48 +431,17 @@ def interval_partition(p: int, pieces: int) -> list[tuple[int, int]]:
 
 
 def interval_tuples(p: int, n: int, rho: float, k: int) -> Iterator[IntervalTuple]:
-    """All (k+1)-tuples of cells whose interval sum can hit 0 mod p.
+    """All (k+1)-tuples of about n**rho cells of [0, p) whose sum can hit 0 mod p.
 
-    The field is split into about n**rho cells.  For each choice of the
-    first k cells, the candidate last cells cover a single arc, so only a
-    handful of completions are scanned per prefix.
+    Tuples come in ``product`` order.  Filtering the whole product is enough:
+    a tuple costs a few additions, never an index build.
     """
     pieces = max(1, math.ceil(n**rho))
     cells = interval_partition(p, min(pieces, p))
-
-    def cell_index(x: int) -> int:
-        q, rem = divmod(p, len(cells))
-        wide = rem * (q + 1)
-        return x // (q + 1) if x < wide else rem + (x - wide) // q
-
-    for combo in product(range(len(cells)), repeat=k):
-        chosen = [cells[c] for c in combo]
-        lo_sum = sum(start for start, _ in chosen)
-        hi_sum = sum(stop - 1 for _, stop in chosen)
-        arc_len = hi_sum - lo_sum + 1
-        # Candidate last cells: those meeting the arc of values -s mod p.
-        if arc_len >= p:
-            candidates = range(len(cells))
-        else:
-            arc_start = (-hi_sum) % p
-            candidates = []
-            pos = arc_start
-            remaining = arc_len
-            seen: set[int] = set()
-            while remaining > 0:
-                ci = cell_index(pos)
-                if ci in seen:
-                    break
-                seen.add(ci)
-                candidates.append(ci)
-                start, stop = cells[ci]
-                step = stop - pos
-                remaining -= step
-                pos = stop % p
-        for last in candidates:
-            tup = IntervalTuple(tuple(chosen) + (cells[last],), p)
-            if tup.sum_contains_zero():
-                yield tup
+    for chosen in product(cells, repeat=k + 1):
+        tup = IntervalTuple(chosen, p)
+        if tup.sum_contains_zero():
+            yield tup
 
 
 # --------------------------------------------------------------------- #
@@ -495,25 +469,20 @@ def build_intersection_instances(
         raise InputError("need at least two parts")
     n = g.n
     cap = query_cap(k, n, rho)
-    last = g.parts[k]
-    firsts = g.parts[:k]
+    *firsts, last = g.parts
+    combos = [
+        (combo, g.clique_weight([firsts[i][j - 1] for i, j in enumerate(combo)]))
+        for combo in product(*(range(1, len(part) + 1) for part in firsts))
+    ]
+    to_last = [[[(u, g.weight(v, u)) for u in last] for v in part] for part in firsts]
     for tup in interval_tuples(g.p, n, rho, k):
-        inner = tup.intervals[0]
-        arm = tup.intervals[1:]
-        families = []
-        for i in range(k):
-            fam = []
-            for v in firsts[i]:
-                lo, hi = arm[i]
-                fam.append(frozenset(u for u in last if lo <= g.weight(v, u) < hi))
-            families.append(tuple(fam))
-        queries = []
-        lo0, hi0 = inner
-        for combo in product(*(range(1, len(part) + 1) for part in firsts)):
-            vertices = [firsts[i][j - 1] for i, j in enumerate(combo)]
-            if lo0 <= g.clique_weight(vertices) < hi0:
-                queries.append(tuple(combo))
-        yield SetFamilyInstance(tuple(last), tuple(families), tuple(queries)), cap
+        (lo0, hi0), *arms = tup.intervals
+        families = tuple(
+            tuple(frozenset(u for u, w in edges if lo <= w < hi) for edges in part_edges)
+            for part_edges, (lo, hi) in zip(to_last, arms)
+        )
+        queries = tuple(combo for combo, w in combos if lo0 <= w < hi0)
+        yield SetFamilyInstance(tuple(last), families, queries), cap
 
 
 class BruteForceBackend:
@@ -569,10 +538,7 @@ def find_zero_clique_via_reduction(
         backend = BruteForceBackend()
     bound = max(1, max((abs(w) for w in g.weights.values()), default=1))
     p = sample_prime(10 * (k + 1) ** 2 * bound, 100 * (k + 1) ** 2 * bound, rng)
-    reduced = WeightedCliqueInstance(
-        g.parts, {e: w % p for e, w in g.weights.items()}, p
-    )
-    randomized, _ = randomize_weights(reduced, p, rng, VARIANT_INTERSECTION)
+    randomized, _ = randomize_weights(g, p, rng, VARIANT_INTERSECTION)
     firsts = g.parts[:k]
     for inst, cap in build_intersection_instances(randomized, rho):
         handle = backend.prepare(inst)

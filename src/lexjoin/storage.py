@@ -185,11 +185,14 @@ def _read_columns(symbol: str, path: Path, types: list[str] | None):
     """``(types, typed columns, row count)`` of one CSV file; undeclared types are strings."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            records = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            records = list(reader)
     except OSError as exc:
         raise InputError(f"cannot read relation file {path}: {exc.strerror}") from None
     except UnicodeDecodeError:
         raise InputError(f"relation file {path} is not valid UTF-8") from None
+    except csv.Error as exc:  # a field over csv.field_size_limit(), say
+        raise InputError(f"{path}:{reader.line_num}: {exc}") from None
     rows = [r for r in records if r]  # an empty record is a blank line
     if types is None and not rows:
         raise InputError(f"relation {symbol}: cannot infer arity of an empty file; declare 'types'")

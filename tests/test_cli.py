@@ -167,6 +167,11 @@ def _probe_csv_not_utf8(d):
     return _build_with_manifest(d, {"R": {"file": "R.csv"}, "S": {"file": "S.csv"}})
 
 
+def _probe_csv_field_over_limit(d):
+    (d / "R.csv").write_text("1\n" + "9" * 200_000 + "\n")
+    return ["build", "-q", d / "q.jq", "-m", d / "manifest.json", "-o", d / "x.idx"]
+
+
 # Each builds its bad input in the work directory and returns the command line.
 BOUNDARY_PROBES = {
     "out-in-missing-dir": (
@@ -176,6 +181,7 @@ BOUNDARY_PROBES = {
     "index-is-directory": (lambda d: ["count", "-i", d], "cannot read index file"),
     "query-not-utf8": (_probe_query_not_utf8, "not valid UTF-8"),
     "csv-not-utf8": (_probe_csv_not_utf8, "not valid UTF-8"),
+    "csv-field-over-limit": (_probe_csv_field_over_limit, "R.csv:2: field larger than field limit"),
     "relations-not-object": (lambda d: _build_with_manifest(d, []), "lacks a 'relations' object"),
     "types-not-list": (
         lambda d: _build_with_manifest(d, {"R": {"file": "R.csv", "types": "int"}}),
@@ -190,6 +196,13 @@ def test_bad_input_boundary_exit_2(workdir, capsys, probe):
     code, _, err = run(capsys, *make_argv(workdir))
     assert code == 2
     assert message in err
+
+
+def test_count_format_text_exit_2(workdir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "-i", str(workdir / "x.idx"), "--format", "text"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'text'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("family", ["star", "setdisj", "zeroclique", "lw"])

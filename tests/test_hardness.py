@@ -1,3 +1,5 @@
+import hashlib
+import math
 import random
 from fractions import Fraction as F
 from itertools import product
@@ -221,8 +223,11 @@ def test_randomization_scales_every_clique(k, variant):
     g, _ = hd.random_partite_instance(rng, k + 1, 4, 200)
     p = hd.sample_prime(10 * (k + 1) ** 2 * 201, 100 * (k + 1) ** 2 * 201, rng)
     reduced = hd.WeightedCliqueInstance(g.parts, {e: w % p for e, w in g.weights.items()}, p)
+    state = rng.getstate()
     randomized, rnd = hd.randomize_weights(reduced, p, rng, variant)
     assert rnd.x != 0
+    rng.setstate(state)
+    assert hd.randomize_weights(g, p, rng, variant) == (randomized, rnd)  # integer weights
     for clique in product(*g.parts):
         assert randomized.clique_weight(clique) == (rnd.x * reduced.clique_weight(clique)) % p
 
@@ -257,29 +262,34 @@ def test_interval_tuples_defining_property():
         assert tup.sum_contains_zero()
 
 
-def test_interval_tuples_complete_for_zero_sums():
-    # Brute force over a small field: every value combination summing to
-    # zero has its cell tuple emitted.
-    p = 23
-    k = 2
-    tuples = set(hd.interval_tuples(p, n=9, rho=0.5, k=k))
-    cells = hd.interval_partition(p, 3)
-
-    def cell_of(x):
-        for c in cells:
-            if c[0] <= x < c[1]:
-                return c
-        raise AssertionError
-
-    for combo in product(range(p), repeat=k + 1):
-        if sum(combo) % p == 0:
-            tup = hd.IntervalTuple(tuple(cell_of(x) for x in combo), p)
-            assert tup in tuples
+@pytest.mark.parametrize(
+    "p, n, rho, k",
+    [
+        (23, 9, 0.5, 2),
+        (29, 16, 0.5, 2),
+        (31, 27, 2 / 3, 2),
+        (101, 18, 0.25, 2),
+        (37, 64, 0.5, 3),
+        (7, 100, 1.0, 2),
+    ],
+)
+def test_interval_tuples_complete_for_zero_sums(p, n, rho, k):
+    # Brute force over a small field: the emitted tuples are exactly the cell
+    # tuples of the value combinations summing to zero, each emitted once.
+    # Every case splits the field into more cells than k.
+    tuples = list(hd.interval_tuples(p, n, rho, k))
+    cells = hd.interval_partition(p, min(math.ceil(n**rho), p))
+    assert len(cells) > k
+    cell_of = {x: cell for cell in cells for x in range(*cell)}
+    expected = set()
+    for head in product(range(p), repeat=k):
+        combo = head + (-sum(head) % p,)
+        expected.add(hd.IntervalTuple(tuple(cell_of[x] for x in combo), p))
+    assert len(tuples) == len(set(tuples)) == len(expected)
+    assert set(tuples) == expected
 
 
 def test_interval_tuple_count_bound():
-    import math
-
     for n, rho, k in [(16, 0.5, 2), (27, 1 / 3, 3), (36, 0.25, 2)]:
         p = hd.sample_prime(10**4, 10**5, random.Random(1))
         count = sum(1 for _ in hd.interval_tuples(p, n, rho, k))
@@ -292,8 +302,6 @@ def test_interval_tuple_count_bound():
 
 
 def test_query_cap_formula():
-    import math
-
     assert hd.query_cap(2, 36, 0.25) == 5400
     for k, n, rho in [(2, 100, 0.25), (3, 27, 1 / 6)]:
         assert hd.query_cap(k, n, rho) == math.ceil(100 * 3**k * n ** (1 - k * rho))
@@ -350,6 +358,41 @@ def test_reduction_rejects_field_mode():
     )
     with pytest.raises(InputError):
         hd.find_zero_clique_via_reduction(reduced)
+
+
+# SHA-256 over every intersection instance of _digest_graphs and both
+# backends' reduction results, recorded with the per-tuple weight loops and
+# the arc-walk interval tuples that the per-graph tables replaced.
+REDUCTION_DIGEST = "16dec8203cf6dd9e5af66a9a51c02a438e42df4392d77bbe0d0d087a36b87095"
+
+
+def _digest_graphs():
+    """The benchmark stream's first graphs, then a planted and a zero-dense graph, per part size."""
+    for size in (6, 8):
+        for i in range(2):
+            rng = random.Random(f"graph/1/{i}")
+            yield hd.random_partite_instance(rng, 4, size, 10**6)[0], rng.randrange(2**32)
+        for bound, plant in ((10**6, True), (2, False)):
+            rng = random.Random(f"digest/{size}/{bound}")
+            g, _ = hd.random_partite_instance(rng, 4, size, bound, plant=plant)
+            yield g, rng.randrange(2**32)
+
+
+def test_reduction_stream_digest():
+    digest = hashlib.sha256()
+    for g, seed in _digest_graphs():
+        k = len(g.parts) - 1
+        rng = random.Random(seed)
+        bound = max(1, max(abs(w) for w in g.weights.values()))
+        p = hd.sample_prime(10 * (k + 1) ** 2 * bound, 100 * (k + 1) ** 2 * bound, rng)
+        randomized, _ = hd.randomize_weights(g, p, rng)
+        for inst, cap in hd.build_intersection_instances(randomized, 1 / (2 * k)):
+            families = tuple(tuple(tuple(sorted(s)) for s in fam) for fam in inst.families)
+            digest.update(repr((inst.universe, families, inst.queries, cap)).encode())
+        for backend in (hd.BruteForceBackend(), hd.DirectAccessBackend()):
+            found = hd.find_zero_clique_via_reduction(g, rng=random.Random(seed), backend=backend)
+            digest.update(repr(found).encode())
+    assert digest.hexdigest() == REDUCTION_DIGEST
 
 
 # --------------------------------------------------------------------- #

@@ -346,9 +346,11 @@ def test_fuzzed_manifest_fails_cleanly(tmp_path):
 def test_fuzzed_csv_fails_cleanly(tmp_path):
     write_manifest(tmp_path, {"R": (["int", "string"], '1,a\n-2,"b,\n"\n'), "S": (None, "b,c\n")})
     tokens = [b",", b'"', b"\n", b"\r\n", b"-", b"9" * 30, b"\x00", b"\xff", "é".encode(), b" "]
+    over_limit = b"9" * (csv.field_size_limit() + 1)
     rng = random.Random(7)
     for name in ("R", "S"):
         path = tmp_path / f"{name}.csv"
         original = path.read_bytes()
-        fuzz_load(path, [mutate(rng, original, tokens) for _ in range(1500)])
+        mutants = [mutate(rng, original, tokens) for _ in range(1500)]
+        fuzz_load(path, mutants + [original + over_limit + b"\n"])
         path.write_bytes(original)
