@@ -17,10 +17,12 @@ Build phase, driven by the order-induced decomposition, whose bag forest
 4. the full reducer runs on these maps, and its leaves-up half is the
    counting pass shared with load (``count_groups``): last bag first, a
    candidate's completion count is the product of its children's group
-   totals, a candidate with no group in a child bag is dropped, and so is a
-   group left empty; each group keeps prefix sums of its counts.  Roots
-   down, a child group stays when some parent candidate reaches it, which
-   changes no count.  Every candidate left extends to an answer.
+   totals, looked up by value under each child's interface head; a candidate
+   with no group in a child bag is dropped, and so is a group left empty;
+   each group keeps prefix sums of its counts.  Roots down, a child group
+   stays when some parent candidate reaches it, which changes no count; a
+   child bag is filtered only when it has more groups than its parent's
+   distinct candidates per head.  Every candidate left extends to an answer.
 
 An access then walks the variables in order.  At each variable the pending
 groups (one per bag whose interface is fully assigned but whose variable is
@@ -43,8 +45,9 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby
+from itertools import accumulate, compress, groupby, repeat
 from math import floor, prod
+from operator import itemgetter, mul
 from typing import Iterator, Sequence
 
 from . import storage
@@ -256,7 +259,7 @@ class AccessIndex:
 
 
 # ---------------------------------------------------------------------- #
-# build; count_groups is shared with load
+# build; count_groups and prune_unreached are shared with load
 
 
 def count_groups(
@@ -272,32 +275,49 @@ def count_groups(
     n = len(decomp.bags)
     tables: list[GroupTable | None] = [None] * n
     for i in range(n - 1, -1, -1):
-        kids = [(tables[c].groups, cols) for c, cols in decomp.links[i]]
+        kids = []  # per child: its interface columns, and its group totals by head, then value
+        for c, cols in decomp.links[i]:
+            by_head: dict[tuple[int, ...], dict[int, int]] = {}
+            for key, (_, prefix) in tables[c].groups.items():
+                by_head.setdefault(key[:-1], {})[key[-1]] = prefix[-1]
+            kids.append((cols, by_head))
         groups: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
         for key, values in candidates[i].items():
-            heads = [(child, tuple(key[k] for k in cols)) for child, cols in kids]
-            prefix: list[int] = []
-            running = 0
-            lost = False
-            for value in values:
-                w = 1
-                for child, head in heads:
-                    entry = child.get(head + (value,))
-                    if entry is None:
-                        w = 0
-                        lost = True
-                        break
-                    w *= entry[1][-1]
-                running += w
-                prefix.append(running)
-            if lost:  # a dropped candidate leaves the prefix sum where it was
-                kept = [k for k, p in enumerate(prefix) if p != (prefix[k - 1] if k else 0)]
-                values, prefix = [values[k] for k in kept], [prefix[k] for k in kept]
+            weights = None if kids else [1] * len(values)  # a leaf's candidates weigh 1
+            for cols, by_head in kids:
+                w = map(by_head.get(tuple(key[k] for k in cols), {}).get, values, repeat(0))
+                weights = list(w if weights is None else map(mul, weights, w))
+            if 0 in weights:  # a candidate with no group in some child bag is dropped
+                values = list(compress(values, weights))
+                weights = list(filter(None, weights))
             if values:
-                groups[key] = (values, prefix)
+                groups[key] = (values, list(accumulate(weights)))
         tables[i] = GroupTable(groups)
     total = prod(tables[i].total(()) for i in decomp.roots)
     return tuple(tables), total
+
+
+def prune_unreached(decomp: Decomposition, tables: Sequence[GroupTable]) -> list[int]:
+    """The full reducer's roots-down half: drop each group no parent candidate reaches.
+
+    Returns the bags that lost groups, parents first, so a loss cascades down.
+    A child bag is filtered only when it has more groups than reached keys,
+    counted as the parent's distinct candidates per child head.
+    """
+    pruned = []
+    for i, links in enumerate(decomp.links):
+        for c, cols in links:
+            heads: dict[tuple[int, ...], list[list[int]]] = {}
+            for key, (values, _) in tables[i].groups.items():
+                heads.setdefault(tuple(key[k] for k in cols), []).append(values)
+            child = tables[c].groups
+            if sum(len(set().union(*lists)) for lists in heads.values()) < len(child):
+                reached = {head: set().union(*lists) for head, lists in heads.items()}
+                tables[c].groups = {
+                    k: e for k, e in child.items() if k[-1] in reached.get(k[:-1], ())
+                }
+                pruned.append(c)
+    return pruned
 
 
 def _variable_types(q: JoinQuery, db: Database) -> dict[str, str]:
@@ -329,6 +349,7 @@ def build_index(q: JoinQuery, order: VariableOrder, db: Database) -> AccessIndex
     # Last to first, as a bag's supersets come later (its own variable is its
     # latest); a bag inside one is its projection, which enforces its atoms.
     rels: list[storage.Relation | None] = [None] * n
+    interface, last = itemgetter(slice(None, -1)), itemgetter(-1)
     candidates: list[dict[tuple[int, ...], list[int]]] = [{}] * n
     for i in range(n - 1, -1, -1):
         keep = bags[i]
@@ -365,22 +386,12 @@ def build_index(q: JoinQuery, order: VariableOrder, db: Database) -> AccessIndex
                     b = storage.semijoin(b, rel, [(col_of[v], c) for c, v in enumerate(vs)])
         rels[i] = b
         # Sorted rows group by interface with their candidates already sorted.
-        candidates[i] = {
-            key: [row[-1] for row in rows] for key, rows in groupby(b.rows, lambda row: row[:-1])
-        }
+        candidates[i] = {key: list(map(last, rows)) for key, rows in groupby(b.rows, interface)}
     del rels
 
     # Leaves up with the counts, then roots down: an unreached group changes no count.
     tables, total = count_groups(decomp, candidates)
-    for i, links in enumerate(decomp.links):
-        for c, cols in links:
-            reached = {
-                tuple(key[k] for k in cols) + (v,)
-                for key, (values, _) in tables[i].groups.items()
-                for v in values
-            }
-            if len(reached) < len(tables[c].groups):  # each reached key has a group
-                tables[c].groups = {k: e for k, e in tables[c].groups.items() if k in reached}
+    prune_unreached(decomp, tables)
 
     return AccessIndex(
         decomp=decomp,

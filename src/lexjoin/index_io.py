@@ -4,10 +4,10 @@ Only each group's sorted candidates are stored: the bag forest comes from
 ``decompose`` on the stored query, solving no LP, and load recomputes the
 prefix sums and the answer count with the build's own counting pass
 (``access.count_groups``), the full reducer's leaves-up half.  A file must
-hold a fully reduced index: load rejects it when that pass drops a candidate,
-one with no group in some child bag.  The roots-down half is not checked: no
-walk visits a group that no parent candidate reaches, so it changes no
-answer, and finding one would cost up to half a load.
+hold a fully reduced index: load runs both halves of the reducer and rejects
+the file when the leaves-up half drops a candidate, one with no group in some
+child bag, or the roots-down half (``access.prune_unreached``) drops a group,
+one that no candidate of its parent bag reaches.
 
 Layout, in stream order (all integers LEB128 unsigned varints unless noted):
 
@@ -39,7 +39,7 @@ import io
 import zlib
 from pathlib import Path
 
-from .access import AccessIndex, count_groups
+from .access import AccessIndex, count_groups, prune_unreached
 from .decomposition import decompose
 from .errors import InputError
 from .query import format_query, parse_query
@@ -239,6 +239,10 @@ def _decode(blob: bytes) -> AccessIndex:
         if bag_rows[i] != stored_rows[i]:
             kids = " or ".join(str(c) for c, _ in decomp.links[i])
             raise InputError(f"bag {i}: a candidate has no group in child bag {kids}")
+    pruned = prune_unreached(decomp, tables)
+    if pruned:  # a loss cascades down: name the first bag
+        c = pruned[0]
+        raise InputError(f"bag {c}: a group no candidate of parent bag {decomp.parent[c]} reaches")
 
     return AccessIndex(
         decomp=decomp,

@@ -27,6 +27,8 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import itemgetter, lt
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -96,11 +98,13 @@ class ValueDictionary:
 
 
 class Relation:
-    """A deduplicated, sorted set of code tuples of fixed arity."""
+    """Deduplicated, sorted code tuples of fixed arity; strictly increasing input is kept as is."""
 
     def __init__(self, arity: int, rows: Iterable[tuple[int, ...]]):
         self.arity = arity
-        self.rows: tuple[tuple[int, ...], ...] = tuple(sorted(set(rows)))
+        self.rows: tuple[tuple[int, ...], ...] = tuple(rows)
+        if not all(map(lt, self.rows, islice(self.rows, 1, None))):
+            self.rows = tuple(sorted(set(self.rows)))
         if set(map(len, self.rows)) - {arity}:
             width = next(len(row) for row in self.rows if len(row) != arity)
             raise InputError(f"row of width {width} in relation of arity {arity}")
@@ -171,7 +175,7 @@ def build_database(raw: dict[str, tuple[Sequence[str], Iterable[tuple]]]) -> Dat
         if set(map(len, rows)) - {len(types)}:
             width = next(len(row) for row in rows if len(row) != len(types))
             raise InputError(f"relation {symbol}: row of width {width}, expected {len(types)}")
-        columns = list(zip(*rows)) or [()] * len(types)
+        columns = [list(map(itemgetter(k), rows)) for k in range(len(types))]
         for t, col in zip(types, columns):
             cls, what = (int, "an int") if t == TYPE_INT else (str, "a string")
             if not all(issubclass(c, cls) for c in set(map(type, col))):
@@ -199,7 +203,8 @@ def _read_columns(symbol: str, path: Path, types: list[str] | None):
     types = tuple([TYPE_STRING] * len(rows[0]) if types is None else types)
     if set(map(len, rows)) - {len(types)}:
         _raise_bad_record(path, records, types)
-    columns = list(zip(*rows)) or [()] * len(types)
+    # One pass per column: zip(*rows) would make an iterator per row, which churns the GC.
+    columns = [list(map(itemgetter(k), rows)) for k in range(len(types))]
     try:
         columns = [list(map(int, c)) if t == TYPE_INT else c for t, c in zip(types, columns)]
     except ValueError:

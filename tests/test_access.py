@@ -2,12 +2,14 @@ import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 from itertools import permutations
+from math import prod
 
 import pytest
 
-from lexjoin import VariableOrder, build_database
-from lexjoin.access import build_index
+from lexjoin import VariableOrder, access, build_database
+from lexjoin.access import GroupTable, build_index
 from lexjoin.errors import InputError, NotAnAnswerError, OutOfBoundsError
+from lexjoin.index_io import load_index, save_index
 from lexjoin.oracle import materialize_codes, materialize_sorted
 from lexjoin.query import parse_query
 from tests.randgen import random_database, random_query
@@ -187,6 +189,88 @@ def test_full_reduction_keeps_exactly_the_answer_projections():
             stored = {key + (v,) for key, (values, _) in table.groups.items() for v in values}
             assert stored == {tuple(row[c] for c in cols) for row in rows}, (seed, bag)
     assert checked >= 40
+
+
+def reference_count_groups(decomp, candidates):
+    """count_groups one candidate at a time, looking up each child key."""
+    tables = [None] * len(decomp.bags)
+    for i in reversed(range(len(decomp.bags))):
+        groups = {}
+        for key, values in candidates[i].items():
+            kept, prefix = [], []
+            for value in values:
+                w = 1
+                for c, cols in decomp.links[i]:
+                    w *= tables[c].total(tuple(key[k] for k in cols) + (value,))
+                if w:
+                    kept.append(value)
+                    prefix.append((prefix[-1] if prefix else 0) + w)
+            if kept:
+                groups[key] = (kept, prefix)
+        tables[i] = GroupTable(groups)
+    return tuple(tables), prod(tables[i].total(()) for i in decomp.roots)
+
+
+def reference_prune(decomp, tables):
+    """prune_unreached with the set of reached child keys of each link."""
+    pruned = []
+    for i, links in enumerate(decomp.links):
+        for c, cols in links:
+            parent = tables[i].groups.items()
+            reached = {tuple(key[k] for k in cols) + (v,) for key, (vs, _) in parent for v in vs}
+            kept = {k: e for k, e in tables[c].groups.items() if k in reached}
+            if len(kept) < len(tables[c].groups):
+                pruned.append(c)
+            tables[c].groups = kept
+    return pruned
+
+
+def test_count_and_prune_match_per_candidate_reference(monkeypatch):
+    seen = []
+    real = access.count_groups
+    monkeypatch.setattr(access, "count_groups", lambda d, c: seen.append((d, c)) or real(d, c))
+    dropped = pruned = 0
+    for seed in range(150):
+        *_, ix = built_random(seed)
+        decomp, candidates = seen[-1]
+        tables, total = real(decomp, candidates)
+        expected, expected_total = reference_count_groups(decomp, candidates)
+        assert (tables, total) == (expected, expected_total), seed
+        dropped += any(sum(map(len, c.values())) > t.rows() for c, t in zip(candidates, tables))
+        lost = access.prune_unreached(decomp, tables)
+        assert lost == reference_prune(decomp, expected), seed
+        assert tables == expected == ix.tables, seed
+        pruned += bool(lost)
+    assert dropped >= 10 and pruned >= 10, (dropped, pruned)
+
+
+def test_prune_drops_unreached_groups_in_cascade(tmp_path, monkeypatch):
+    # y = 9 is in S but in no R row: bag {y, z}'s group 9 is reached by no
+    # candidate of bag {x, y}, and bag {z, w}'s group 10 only through it.
+    q, order = parse_query("Q(x,y,z,w) :- R(x,y), S(y,z), T(z,w).")
+    db = build_database(
+        {
+            "R": (["int", "int"], [(1, 2), (1, 3), (4, 3)]),
+            "S": (["int", "int"], [(2, 5), (3, 5), (3, 6), (9, 10)]),
+            "T": (["int", "int"], [(5, 7), (6, 7), (6, 8), (10, 11)]),
+        }
+    )
+    real, pruned = access.prune_unreached, []
+    monkeypatch.setattr(access, "prune_unreached", lambda d, t: pruned.append(real(d, t)))
+    ix = build_index(q, order, db)
+    assert ix.bags == (("x",), ("x", "y"), ("y", "z"), ("z", "w"))
+    assert pruned == [[2, 3]]
+    rows = materialize_codes(q, order, db)
+    for bag, table, n in zip(ix.bags, ix.tables, ix.stats["bag_rows"]):
+        cols = [order.position(v) for v in bag]
+        stored = {key + (v,) for key, (values, _) in table.groups.items() for v in values}
+        assert stored == {tuple(row[c] for c in cols) for row in rows}
+        assert n == len(stored)
+    path = tmp_path / "q.idx"
+    save_index(ix, path)
+    loaded = load_index(path)
+    assert loaded.tables == ix.tables
+    assert loaded.stats["bag_rows"] == ix.stats["bag_rows"] == [2, 3, 3, 3]
 
 
 # A bag skips the semijoin only with the atoms that own one of its cover edges,

@@ -87,6 +87,24 @@ def test_random_index_bytes_unchanged(tmp_path):
     assert digest.hexdigest() == RANDOM_INDEXES_SHA256
 
 
+# SHA-256 over the saved bytes and the repr of stats["bag_rows"] of the indexes
+# of tests/randgen seeds 200..399.
+RANDOM_INDEXES_200_399_SHA256 = "6977cc45ac512a51cfec5d881d363ab498b828d7aeb834d165911dc551f21657"
+
+
+def test_random_index_bytes_and_bag_rows_unchanged(tmp_path):
+    digest = hashlib.sha256()
+    path = tmp_path / "r.idx"
+    for seed in range(200, 400):
+        rng = random.Random(seed)
+        q, order = random_query(rng)
+        ix = build_index(q, order, random_database(rng, q))
+        save_index(ix, path)
+        digest.update(path.read_bytes())
+        digest.update(repr(ix.stats["bag_rows"]).encode())
+    assert digest.hexdigest() == RANDOM_INDEXES_200_399_SHA256
+
+
 def test_corruption_rejected(tmp_path):
     path = tmp_path / "corrupt.idx"
     _, _, _, ix = sample_index()
@@ -129,6 +147,8 @@ CORRUPTIONS = {
     "empty-group": ("groups", 13, 0, "empty group"),
     "code-outside-pool": ("groups", 2, 5, "outside the int pool"),
     "missing-child-group": ("groups", 16, 7, "no group in child bag"),
+    # y = "b" -> "a" in bag {z, y}: bag {y, x}'s group "b" is left unreached.
+    "unreached-group": ("groups", 10, 5, "bag 2: a group no candidate of parent bag 1 reaches"),
     "unordered-groups": ("groups", 5, 5, "not in increasing order"),
     "truncated": ("groups", 17, 9, "index file truncated"),
 }

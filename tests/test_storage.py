@@ -176,6 +176,28 @@ def test_relation_rejects_ragged_rows():
         Relation(2, [(1,)])
 
 
+def test_relation_rows_are_the_sorted_distinct_rows():
+    # Strictly increasing input is kept as it is; any other is deduplicated and sorted.
+    rng = random.Random(13)
+    for _ in range(200):
+        arity = rng.randint(1, 3)
+        drawn = [tuple(rng.randrange(6) for _ in range(arity)) for _ in range(rng.randrange(30))]
+        rows = sorted(set(drawn))
+        with_duplicates = sorted(rows + rng.choices(rows, k=len(rows) // 2))
+        shuffled = rng.sample(with_duplicates, len(with_duplicates))
+        for given in (rows, with_duplicates, shuffled, tuple(shuffled), iter(rows)):
+            assert Relation(arity, given).rows == tuple(rows)
+    assert Relation(2, []).rows == ()
+    assert Relation(0, [()]).rows == ((),)
+    assert Relation(0, [(), ()]).rows == ((),)
+
+
+def test_ragged_row_is_reported_alike_sorted_or_not():
+    for rows in ([(1, 2), (3,)], [(3,), (1, 2)], [(3,), (1, 2), (3,)]):
+        with pytest.raises(InputError, match="^row of width 1 in relation of arity 2$"):
+            Relation(2, rows)
+
+
 def test_types_default_to_string(tmp_path):
     (tmp_path / "R.csv").write_text("b,2\na,1\n")
     (tmp_path / "manifest.json").write_text(

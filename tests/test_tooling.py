@@ -1,3 +1,4 @@
+import json
 import runpy
 
 from tests import ROOT
@@ -9,3 +10,10 @@ def test_tracing_entry_points_resolve():
     tracing = runpy.run_path(str(ROOT / "perfbench" / "tracing.py"))
     for owner, attr, span, _ in tracing["ENTRY_POINTS"]:
         assert callable(getattr(owner, attr, None)), (span, attr)
+
+
+def test_layers_map_names_the_benchmark_per_layer_metrics():
+    # perfbench/run.py refuses to run when these differ; catch it without a run.
+    layers = json.loads((ROOT / "perfbench" / "layers.json").read_text(encoding="utf-8"))
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert sorted(layers) == sorted(m["name"] for m in spec["per_layer"])
