@@ -44,7 +44,10 @@ def _read_query(path: str):
 
 
 def _parse_tuple(ix: AccessIndex, text: str) -> list:
-    rows = list(csv.reader([text]))
+    try:
+        rows = list(csv.reader([text]))
+    except csv.Error as exc:  # a newline outside quotes, say
+        raise InputError(f"cannot parse tuple {text!r}: {exc}") from None
     fields = rows[0] if rows else []
     if len(fields) != len(ix.query.variables):
         raise InputError(

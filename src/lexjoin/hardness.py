@@ -675,10 +675,11 @@ def write_partite_graph(path: str | Path, g: WeightedCliqueInstance) -> None:
 def read_partite_graph(path: str | Path) -> WeightedCliqueInstance:
     text = read_text(path, "graph file")
     lines = [line.strip() for line in text.splitlines() if line.strip()]
-    if not lines or not lines[0].startswith("parts "):
+    header = lines[0].split() if lines else []
+    if header[:1] != ["parts"]:
         raise InputError(f"{path}: expected a 'parts' header line")
     try:
-        sizes = [int(tok) for tok in lines[0].split()[1:]]
+        sizes = [int(tok) for tok in header[1:]]
     except ValueError:
         raise InputError(f"{path}: bad parts header") from None
     if any(size < 0 for size in sizes):

@@ -17,9 +17,7 @@ The on-disk format is a JSON manifest naming CSV files::
     {"relations": {"R1": {"file": "r1.csv", "types": ["int", "string"]}}}
 
 CSV files carry no header and follow RFC 4180 quoting.  Duplicate rows are
-dropped silently (relations are sets).  A database is immutable once built;
-sorted views of a relation are memoized lazily, with no lock: the engine is
-single-threaded.
+dropped silently (relations are sets).  A database is immutable once built.
 """
 
 from __future__ import annotations
@@ -108,25 +106,9 @@ class Relation:
         if set(map(len, self.rows)) - {arity}:
             width = next(len(row) for row in self.rows if len(row) != arity)
             raise InputError(f"row of width {width} in relation of arity {arity}")
-        self._views: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        self._row_set: frozenset[tuple[int, ...]] | None = None
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    @property
-    def row_set(self) -> frozenset[tuple[int, ...]]:
-        if self._row_set is None:
-            self._row_set = frozenset(self.rows)
-        return self._row_set
-
-    def sorted_view(self, perm: Sequence[int]) -> list[tuple[int, ...]]:
-        """Rows with columns reordered by ``perm``, sorted; memoized."""
-        key = tuple(perm)
-        view = self._views.get(key)
-        if view is None:
-            view = self._views[key] = sorted(tuple(row[p] for p in key) for row in self.rows)
-        return view
 
 
 @dataclass

@@ -1,21 +1,21 @@
 """Multiway joins: a generic worst-case-optimal join and a brute-force oracle.
 
-``generic_join`` recurses over the variables in a caller-chosen order.  At
-each level it intersects, across all atoms containing the current variable,
-the candidate values consistent with the partial assignment so far: it
-iterates the atom with the fewest remaining rows and probes the others by
-binary search on sorted views.  ``naive_join`` computes the same answer set
-by filtering the product of the per-variable candidate domains; it exists
-purely as a test oracle.
+``generic_join`` is Generic Join over hash tries (Ngo, Ré, Rudra, "Skew
+strikes back", SIGMOD Record 2013): each atom becomes nested dicts over its
+variables in a caller-chosen order.  At each variable the join iterates the
+keys of the atom node with the fewest children, keeps a value only if every
+other atom node there has it as a key, and descends into the children.
+``naive_join`` computes the same answer set by filtering the product of the
+per-variable candidate domains; it exists purely as a test oracle.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from operator import itemgetter
 from typing import Sequence, Union
 
 from .errors import InputError
@@ -32,6 +32,8 @@ class SubQuery:
     def __post_init__(self):
         if not self.output:
             raise InputError("subquery has no output variables")
+        if len(set(self.output)) != len(self.output):
+            raise InputError(f"output variables {list(self.output)} repeat a variable")
         covered = set()
         for _, vs in self.atoms:
             covered.update(vs)
@@ -77,74 +79,56 @@ def _collapse_repeats(rel: Relation, vs: tuple[str, ...]) -> tuple[Relation, tup
 def generic_join(sq: SubQuery, db: Database | None, order: Sequence[str]) -> Relation:
     """All assignments satisfying every atom, in worst-case-optimal time.
 
-    ``order`` must enumerate the subquery variables; it controls the
-    recursion (and which sorted views get built).
+    ``order`` must enumerate the subquery variables; each atom's hash trie
+    nests its variables in that order, and the recursion binds them in it.
     """
     order = tuple(order)
     if sorted(order) != sorted(sq.output):
         raise InputError("join order must be a permutation of the output variables")
     pos = {v: i for i, v in enumerate(order)}
 
-    atoms = []
+    # roots[a] is atom a's trie; users[d] lists the atoms whose tries branch on order[d].
+    roots: list[dict] = []
+    users: list[list[int]] = [[] for _ in order]
     for rel, vs in _resolve(sq, db):
         rel, vs = _collapse_repeats(rel, vs)
         if len(rel) == 0:
             return Relation(len(sq.output), [])
-        by_order = sorted(vs, key=lambda v: pos[v])
-        perm = tuple(vs.index(v) for v in by_order)
-        view = rel.sorted_view(perm)
-        atoms.append({"vars": by_order, "view": view})
+        if not vs:  # a nullary atom with its one row () constrains nothing
+            continue
+        *inner, leaf = cols = sorted(range(len(vs)), key=lambda c: pos[vs[c]])
+        for c in cols:
+            users[pos[vs[c]]].append(len(roots))
+        trie: dict = {}
+        for row in rel.rows:
+            node = trie
+            for c in inner:
+                node = node.setdefault(row[c], {})
+            node[row[leaf]] = None
+        roots.append(trie)
 
-    # For each variable, the atoms that constrain it and the column at which
-    # it appears in their views.
-    per_var: list[list[tuple[int, int]]] = [[] for _ in order]
-    for ai, atom in enumerate(atoms):
-        for col, v in enumerate(atom["vars"]):
-            per_var[pos[v]].append((ai, col))
-
-    ranges = [(0, len(atom["view"])) for atom in atoms]
-    assignment: list[int] = [0] * len(order)
     out: list[tuple[int, ...]] = []
-    out_cols = [pos[v] for v in sq.output]
 
-    def recurse(depth: int):
-        if depth == len(order):
-            out.append(tuple(assignment[c] for c in out_cols))
+    # nodes[a] is atom a's trie node under prefix, None below its last variable.
+    def recurse(depth: int, prefix: tuple[int, ...], nodes: list[dict | None]) -> None:
+        here = [nodes[a] for a in users[depth]]
+        lead = min(here, key=len)
+        values = lead
+        for node in here:
+            if node is not lead:
+                values = [v for v in values if v in node]
+        if depth == len(order) - 1:
+            out.extend(prefix + (v,) for v in values)
             return
-        users = per_var[depth]
-        if not users:
-            raise InputError(f"variable {order[depth]!r} unconstrained")
-        lead_ai, lead_col = min(users, key=lambda ac: ranges[ac[0]][1] - ranges[ac[0]][0])
-        view = atoms[lead_ai]["view"]
-        lo, hi = ranges[lead_ai]
-        saved = list(ranges)
-        i = lo
-        while i < hi:
-            value = view[i][lead_col]
-            prefix = view[i][:lead_col]
-            i_end = bisect_left(view, prefix + (value + 1,), i, hi)
-            ok = True
-            for ai, col in users:
-                if ai == lead_ai:
-                    ranges[ai] = (i, i_end)
-                    continue
-                aview = atoms[ai]["view"]
-                alo, ahi = saved[ai]
-                apfx = aview[alo][:col] if alo < ahi else ()
-                nlo = bisect_left(aview, apfx + (value,), alo, ahi)
-                nhi = bisect_left(aview, apfx + (value + 1,), alo, ahi)
-                if nlo == nhi:
-                    ok = False
-                    break
-                ranges[ai] = (nlo, nhi)
-            if ok:
-                assignment[depth] = value
-                recurse(depth + 1)
-            for ai, _ in users:
-                ranges[ai] = saved[ai]
-            i = i_end
+        for value in values:
+            below = nodes.copy()
+            for a, node in zip(users[depth], here):
+                below[a] = node[value]
+            recurse(depth + 1, prefix + (value,), below)
 
-    recurse(0)
+    recurse(0, (), roots)
+    if order != sq.output:  # two or more columns, so itemgetter gives tuples
+        out = list(map(itemgetter(*(pos[v] for v in sq.output)), out))
     return Relation(len(sq.output), out)
 
 
@@ -164,7 +148,7 @@ def naive_join(sq: SubQuery, db: Database | None = None) -> Relation:
             return Relation(len(sq.output), [])
         pools.append(sorted(dom))
     rows = []
-    row_sets = [(rel.row_set, vs) for rel, vs in atoms]
+    row_sets = [(frozenset(rel.rows), vs) for rel, vs in atoms]
     for combo in product(*pools):
         binding = dict(zip(var_list, combo))
         if all(tuple(binding[v] for v in vs) in rs for rs, vs in row_sets):

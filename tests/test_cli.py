@@ -172,6 +172,15 @@ def _probe_csv_field_over_limit(d):
     return ["build", "-q", d / "q.jq", "-m", d / "manifest.json", "-o", d / "x.idx"]
 
 
+def _probe_tuple_with_newline(command):
+    def probe(d):
+        build = ["build", "-q", d / "q.jq", "-m", d / "manifest.json", "-o", d / "x.idx"]
+        assert main([str(a) for a in build]) == 0
+        return [command, "-i", d / "x.idx", "-t", "1\n2"]
+
+    return probe
+
+
 # Each builds its bad input in the work directory and returns the command line.
 BOUNDARY_PROBES = {
     "out-in-missing-dir": (
@@ -187,6 +196,8 @@ BOUNDARY_PROBES = {
         lambda d: _build_with_manifest(d, {"R": {"file": "R.csv", "types": "int"}}),
         "'types' must be a list",
     ),
+    "rank-tuple-newline": (_probe_tuple_with_newline("rank"), "cannot parse tuple"),
+    "test-tuple-newline": (_probe_tuple_with_newline("test"), "cannot parse tuple"),
 }
 
 

@@ -435,12 +435,17 @@ def test_bit_probing_never_unverified():
 
 
 def test_partite_graph_roundtrip(tmp_path):
-    g, _ = small_instance(seed=14)
-    path = tmp_path / "graph.txt"
-    hd.write_partite_graph(path, g)
-    again = hd.read_partite_graph(path)
-    assert again.parts == g.parts
-    assert again.weights == g.weights
+    graphs = [
+        small_instance(seed=14)[0],
+        hd.WeightedCliqueInstance((), {}),  # written with the header "parts "
+        hd.WeightedCliqueInstance(((1, 2, 3),), {}),
+    ]
+    for g in graphs:
+        path = tmp_path / "graph.txt"
+        hd.write_partite_graph(path, g)
+        again = hd.read_partite_graph(path)
+        assert again.parts == g.parts
+        assert again.weights == g.weights
 
 
 def test_partite_graph_bad_header(tmp_path):

@@ -164,13 +164,6 @@ def test_semijoin_against_brute_force():
         assert list(semijoin(r, s, on).rows) == expected
 
 
-def test_sorted_view_is_memoized_permutation():
-    r = Relation(2, [(2, 1), (1, 2), (2, 0)])
-    view = r.sorted_view((1, 0))
-    assert view == sorted((b, a) for a, b in r.rows)
-    assert r.sorted_view((1, 0)) is view
-
-
 def test_relation_rejects_ragged_rows():
     with pytest.raises(InputError):
         Relation(2, [(1,)])

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
 
@@ -37,6 +38,16 @@ def test_empty_relation_gives_empty_join():
     assert len(generic_join(TRIANGLE, db, ("a", "b", "c"))) == 0
 
 
+def test_nullary_atom_is_a_condition():
+    # E() holds no row, T() holds the empty row: joined with R(a) they give nothing and R.
+    db = build_database({"R": (["int"], [(1,), (2,)]), "E": ([], []), "T": ([], [()])})
+    for symbol, expected in (("E", 0), ("T", 2)):
+        sq = SubQuery(("a",), (("R", ("a",)), (symbol, ())))
+        out = generic_join(sq, db, ("a",))
+        assert len(out) == expected
+        assert out.rows == naive_join(sq, db).rows
+
+
 def test_unbound_symbol():
     db = triangle_db()
     sq = SubQuery(("a",), (("Missing", ("a",)),))
@@ -56,11 +67,21 @@ def test_join_order_does_not_change_result():
     rng = random.Random(12)
     for _ in range(30):
         sq, db = random_subquery_instance(rng)
-        orders = [list(sq.output), list(sq.output)[::-1]]
-        results = []
-        for order in orders:
-            results.append(generic_join(sq, db, order).rows)
-        assert results[0] == results[1]
+        expected = naive_join(sq, db).rows
+        for order in permutations(sq.output):
+            assert generic_join(sq, db, order).rows == expected
+
+
+def test_one_relation_behind_several_atoms():
+    # R(a,b), R(b,c), R(c,a): each atom reads the one relation in its own column order.
+    rng = random.Random(15)
+    for _ in range(20):
+        rows = {(rng.randrange(5), rng.randrange(5)) for _ in range(rng.randint(1, 14))}
+        db = build_database({"R": (["int", "int"], rows)})
+        sq = SubQuery(("a", "b", "c"), (("R", ("a", "b")), ("R", ("b", "c")), ("R", ("c", "a"))))
+        expected = naive_join(sq, db).rows
+        for order in permutations(sq.output):
+            assert generic_join(sq, db, order).rows == expected
 
 
 def test_random_instances_match_naive():
@@ -116,6 +137,8 @@ def test_subquery_validation():
         SubQuery(("a", "b"), (("R", ("a",)),))
     with pytest.raises(InputError):
         SubQuery(("a",), (("R", ("a", "b")),))
+    with pytest.raises(InputError):
+        SubQuery(("a", "a"), (("R", ("a",)),))
 
 
 def test_triangle_decoded_values():
