@@ -5,9 +5,10 @@ Build phase, driven by the order-induced decomposition, whose bag forest
 ``decompose`` alone; the index copies it for the walks.
 
 1. one relation per bag, from the last bag to the first.  A bag inside a
-   later bag is that bag's projection.  Any other bag comes from its optimal
-   fractional edge cover: each positive edge is a view of the first atom
-   meeting the bag in exactly that edge (projected unless already in bag
+   later bag is that bag's projection, most often onto a leading prefix of
+   its sorted rows, which needs no sort.  Any other bag comes from its
+   optimal fractional edge cover: each positive edge is a view of the first
+   atom meeting the bag in exactly that edge (projected unless in bag
    order).  One edge is the whole bag, the cheap rho* = 1 case; two or more
    views go to the generic join, variables in the most views first;
 2. each joined bag is semijoined with the atoms inside it that own none of

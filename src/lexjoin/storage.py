@@ -16,8 +16,11 @@ The on-disk format is a JSON manifest naming CSV files::
 
     {"relations": {"R1": {"file": "r1.csv", "types": ["int", "string"]}}}
 
-CSV files carry no header and follow RFC 4180 quoting.  Duplicate rows are
-dropped silently (relations are sets).  A database is immutable once built.
+CSV files carry no header and follow RFC 4180 quoting; a leading UTF-8 BOM in
+any text file is ignored.  Duplicate rows are dropped silently, with no set:
+strictly increasing rows are kept, others sorted once with adjacent duplicates
+dropped, so a leading-prefix projection of sorted rows is never re-sorted.  A
+database is immutable once built.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import groupby, islice
 from operator import itemgetter, lt
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -45,9 +48,9 @@ def normalize_type(name: str) -> str:
 
 
 def read_text(path: str | Path, what: str) -> str:
-    """A UTF-8 text file's contents; InputError naming ``what`` when unreadable."""
+    """A UTF-8 text file's contents less a leading BOM; InputError naming ``what`` if unreadable."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise InputError(f"cannot read {what} {path}: {exc.strerror}") from None
     except UnicodeDecodeError:
@@ -96,13 +99,14 @@ class ValueDictionary:
 
 
 class Relation:
-    """Deduplicated, sorted code tuples of fixed arity; strictly increasing input is kept as is."""
+    """Deduplicated, sorted code tuples of fixed arity; strictly increasing input is kept as is,
+    any other is sorted once and adjacent duplicates dropped, with no set."""
 
     def __init__(self, arity: int, rows: Iterable[tuple[int, ...]]):
         self.arity = arity
         self.rows: tuple[tuple[int, ...], ...] = tuple(rows)
         if not all(map(lt, self.rows, islice(self.rows, 1, None))):
-            self.rows = tuple(sorted(set(self.rows)))
+            self.rows = tuple(map(itemgetter(0), groupby(sorted(self.rows))))
         if set(map(len, self.rows)) - {arity}:
             width = next(len(row) for row in self.rows if len(row) != arity)
             raise InputError(f"row of width {width} in relation of arity {arity}")
@@ -170,7 +174,7 @@ def build_database(raw: dict[str, tuple[Sequence[str], Iterable[tuple]]]) -> Dat
 def _read_columns(symbol: str, path: Path, types: list[str] | None):
     """``(types, typed columns, row count)`` of one CSV file; undeclared types are strings."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             records = list(reader)
     except OSError as exc:
@@ -234,11 +238,16 @@ def load(manifest_path: str | Path) -> Database:
 
 
 def project(r: Relation, attrs: Sequence[int]) -> Relation:
-    """Projection onto the given column indices, deduplicated."""
+    """Projection onto the given column indices, deduplicated.  Adjacent duplicates are
+    dropped first, so a leading prefix of sorted rows is kept as is; any other is sorted once."""
     for a in attrs:
         if not 0 <= a < r.arity:
             raise InputError(f"column {a} out of range for arity {r.arity}")
-    return Relation(len(attrs), (tuple(row[a] for a in attrs) for row in r.rows))
+    if not attrs:
+        return Relation(0, [()] if r.rows else [])
+    rows = map(itemgetter(*attrs), r.rows)
+    rows = zip(rows) if len(attrs) == 1 else rows  # one index gives values, not 1-tuples
+    return Relation(len(attrs), map(itemgetter(0), groupby(rows)))
 
 
 def semijoin(r: Relation, s: Relation, on: Sequence[tuple[int, int]]) -> Relation:

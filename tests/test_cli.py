@@ -128,6 +128,18 @@ def test_enum_matches_oracle(workdir, capsys):
     assert enum_out == oracle_out
 
 
+def test_oracle_ignores_a_leading_bom_in_every_input_file(tmp_path, capsys):
+    bom = "\ufeff"
+    (tmp_path / "q.jq").write_text(bom + "Q(u,v,w) :- R(u,v), S(u,w).\n", encoding="utf-8")
+    (tmp_path / "r.csv").write_text(bom + "a,b\nc,d\n", encoding="utf-8")
+    (tmp_path / "s.csv").write_text("a,x\nc,y\n", encoding="utf-8")
+    manifest = {"relations": {"R": {"file": "r.csv"}, "S": {"file": "s.csv"}}}
+    (tmp_path / "manifest.json").write_text(bom + json.dumps(manifest), encoding="utf-8")
+    code, out, err = run(capsys, "oracle", "-q", tmp_path / "q.jq", "-m", tmp_path / "manifest.json")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["a,b,x", "c,d,y"]
+
+
 def test_sample_deterministic_under_seed(workdir, capsys):
     idx = workdir / "q.idx"
     run(capsys, "build", "-q", workdir / "q.jq", "-m", workdir / "manifest.json", "-o", idx)

@@ -448,6 +448,14 @@ def test_partite_graph_roundtrip(tmp_path):
         assert again.weights == g.weights
 
 
+def test_partite_graph_leading_bom_is_ignored(tmp_path):
+    path = tmp_path / "graph.txt"
+    path.write_text("\ufeffparts 1 1\n1 2 -4\n", encoding="utf-8")
+    g = hd.read_partite_graph(path)
+    assert g.parts == ((1,), (2,))
+    assert g.weights == {(1, 2): -4}
+
+
 def test_partite_graph_bad_header(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1 2 3\n")

@@ -6,12 +6,15 @@ import re
 
 import pytest
 
+from lexjoin.access import build_index
 from lexjoin.errors import InputError, LexjoinError
+from lexjoin.query import parse_query
 from lexjoin.storage import (
     Relation,
     build_database,
     load,
     project,
+    read_text,
     semijoin,
 )
 from tests.randgen import mutate
@@ -21,7 +24,7 @@ def write_manifest(tmp_path, relations):
     manifest = {"relations": {}}
     for name, (types, csv_text) in relations.items():
         fname = f"{name}.csv"
-        (tmp_path / fname).write_text(csv_text)
+        (tmp_path / fname).write_text(csv_text, encoding="utf-8")
         manifest["relations"][name] = {"file": fname, "types": types}
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest))
@@ -145,6 +148,38 @@ def test_project_against_brute_force():
         assert list(project(r, attrs).rows) == expected
 
 
+def test_project_onto_no_columns():
+    assert project(Relation(2, []), []).rows == ()
+    assert project(Relation(2, [(1, 2), (3, 4)]), []).rows == ((),)
+    assert project(Relation(2, [(1, 2)]), []).arity == 0
+
+
+def test_project_onto_one_column_gives_one_tuples():
+    rows = {(a, b) for a in range(5) for b in range(3)} - {(2, 1)}
+    r = Relation(2, rows)
+    for col in (0, 1):
+        projected = project(r, [col])
+        assert projected.arity == 1
+        assert list(projected.rows) == sorted({(row[col],) for row in rows})
+
+
+def test_project_onto_a_leading_prefix_with_many_rows_per_prefix():
+    rng = random.Random(15)
+    rows = {tuple(rng.randrange(k) for k in (4, 3, 50)) for _ in range(400)}
+    r = Relation(3, rows)
+    for width in (1, 2, 3):
+        expected = sorted({row[:width] for row in rows})
+        assert list(project(r, list(range(width))).rows) == expected
+
+
+@pytest.mark.parametrize("attrs", [[1, 0], [2, 0, 1], [1, 2], [0, 0], [2, 1, 2], [1, 1, 1]])
+def test_project_onto_reordered_and_repeated_columns(attrs):
+    rng = random.Random(16)
+    rows = {tuple(rng.randrange(5) for _ in range(3)) for _ in range(60)}
+    expected = sorted({tuple(row[a] for a in attrs) for row in rows})
+    assert list(project(Relation(3, rows), attrs).rows) == expected
+
+
 def test_semijoin_empty_and_superset():
     r = Relation(2, [(1, 2), (3, 4)])
     assert semijoin(r, Relation(1, []), [(0, 0)]).rows == ()
@@ -178,7 +213,10 @@ def test_relation_rows_are_the_sorted_distinct_rows():
         rows = sorted(set(drawn))
         with_duplicates = sorted(rows + rng.choices(rows, k=len(rows) // 2))
         shuffled = rng.sample(with_duplicates, len(with_duplicates))
-        for given in (rows, with_duplicates, shuffled, tuple(shuffled), iter(rows)):
+        descending = with_duplicates[::-1]
+        runs = [row for row in rows for _ in range(rng.randint(1, 40))]
+        for given in (rows, with_duplicates, shuffled, tuple(shuffled), iter(rows),
+                      descending, rows[::-1], runs, runs[::-1]):
             assert Relation(arity, given).rows == tuple(rows)
     assert Relation(2, []).rows == ()
     assert Relation(0, [()]).rows == ((),)
@@ -235,6 +273,44 @@ def test_build_database_accepts_bool_as_int():
 def test_build_database_rejects_bad_rows(types, rows, message):
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         build_database({"R": (types, rows)})
+
+
+BOM = "\ufeff"
+
+
+def test_leading_bom_in_string_csv_is_ignored(tmp_path):
+    path = write_manifest(tmp_path, {"R": (None, BOM + "a,b\nc,d\n"), "S": (None, "a,x\nc,y\n")})
+    db = load(path)
+    decoded = {tuple(map(db.dictionary.decode, row)) for row in db.relations["R"].rows}
+    assert decoded == {("a", "b"), ("c", "d")}
+    ix = build_index(*parse_query("Q(u,v,w) :- R(u,v), S(u,w)."), db)
+    assert list(ix.enumerate_range(0, ix.count())) == [("a", "b", "x"), ("c", "d", "y")]
+
+
+def test_leading_bom_in_int_csv_is_ignored(tmp_path):
+    db = load(write_manifest(tmp_path, {"R": (["int"], BOM + "1\n2\n")}))
+    assert [db.dictionary.decode(c) for (c,) in db.relations["R"].rows] == [1, 2]
+
+
+def test_leading_bom_in_manifest_is_ignored(tmp_path):
+    path = write_manifest(tmp_path, {"R": (["int"], "1\n")})
+    path.write_text(BOM + path.read_text(encoding="utf-8"), encoding="utf-8")
+    assert load(path).size == 1
+
+
+def test_leading_bom_in_query_file_is_ignored(tmp_path):
+    path = tmp_path / "q.jq"
+    path.write_text(BOM + "Q(x) :- R(x).\n", encoding="utf-8")
+    _, order = parse_query(read_text(path, "query file"))
+    assert order.variables == ("x",)
+
+
+def test_bom_not_at_the_start_is_part_of_the_value(tmp_path):
+    # Only one leading BOM is dropped; any other U+FEFF stays in its value.
+    csv_text = BOM + BOM + "a," + BOM + "b\n" + BOM + "c,d\n"
+    db = load(write_manifest(tmp_path, {"R": (["string", "string"], csv_text)}))
+    decoded = {tuple(map(db.dictionary.decode, row)) for row in db.relations["R"].rows}
+    assert decoded == {(BOM + "a", BOM + "b"), (BOM + "c", "d")}
 
 
 def reference_load(tables):
