@@ -260,7 +260,7 @@ class AccessIndex:
 
 
 # ---------------------------------------------------------------------- #
-# build; count_groups and prune_unreached are shared with load
+# build; count_groups is shared with load, which needs no prune_unreached
 
 
 def count_groups(
@@ -301,6 +301,7 @@ def count_groups(
 def prune_unreached(decomp: Decomposition, tables: Sequence[GroupTable]) -> list[int]:
     """The full reducer's roots-down half: drop each group no parent candidate reaches.
 
+    Build only; a loaded file stores no key, so it can hold no unreached group.
     Returns the bags that lost groups, parents first, so a loss cascades down.
     A child bag is filtered only when it has more groups than reached keys,
     counted as the parent's distinct candidates per child head.

@@ -1,18 +1,14 @@
-"""Versioned binary container for a built index (magic ``LJDA2``).
+"""Versioned binary container for a built index (magic ``LJDA3``).
 
-Only each group's sorted candidates are stored: the bag forest comes from
-``decompose`` on the stored query, solving no LP, and load recomputes the
-prefix sums and the answer count with the build's own counting pass
-(``access.count_groups``), the full reducer's leaves-up half.  A file must
-hold a fully reduced index: load runs both halves of the reducer and rejects
-the file when the leaves-up half drops a candidate, one with no group in some
-child bag, or the roots-down half (``access.prune_unreached``) drops a group,
-one that no candidate of its parent bag reaches.
+Only each group's sorted candidates are stored.  The bag forest comes from
+``decompose`` on the stored query, solving no LP, and implies every group key
+(below); load recomputes the prefix sums and the answer count with the
+build's own counting pass (``access.count_groups``).
 
 Layout, in stream order (all integers LEB128 unsigned varints unless noted):
 
 ===========================  ===================================================
-magic                        5 bytes, ``b"LJDA2"``; bumping the trailing digit
+magic                        5 bytes, ``b"LJDA3"``; bumping the trailing digit
                              is the format version, loaders reject anything else
 dictionary                   pool count; per pool, in increasing type name with
                              none repeated: 1 tag byte (0 int, 1 string), value
@@ -22,45 +18,63 @@ dictionary                   pool count; per pool, in increasing type name with
 query                        length-prefixed canonical query text, including an
                              ORDER clause when the order differs from the head
 variable types               one tag byte per order position
-groups                       per bag, in order: group count, then per group
-                             (sorted by interface): interface codes, candidate
-                             count, candidates as varint first value plus gap
-                             varints
+groups                       per bag, in order: a root bag's group count (0 or
+                             1; other bags store none), then three streams over
+                             the bag's groups in key order: group sizes, first
+                             candidates, and the non-zero gaps between each
+                             group's consecutive candidates
 checksum                     CRC-32 of everything before it, 4 bytes, little-endian
 ===========================  ===================================================
 
-Save is fully deterministic, so rebuilding an index from identical inputs
-produces byte-identical files.
+Why no key is stored: a child bag's key is its parent's key at the link's
+columns (the head) followed by a parent candidate.  The build's full reducer
+keeps exactly these pairs as keys: ``count_groups`` drops a candidate with
+no group in some child, and ``prune_unreached`` a group that no pair names.
+So load derives each bag's keys from its parent's groups, per head the
+sorted distinct candidates, and a root's only key is ``()``.  Each derived
+key gets a group of at least one candidate, so no candidate lacks a child
+group and no group is unreached: load drops nothing and needs no prune.  It
+rejects what the format can still get wrong: an empty group, a zero gap, a
+candidate outside its pool, a root with more than one group, truncation and
+trailing bytes.
+
+A stream of values below 0x80 is its own bytes: save writes it with one
+``bytes`` call, and load takes it as one slice when its next n bytes are all
+below 0x80 (a larger value would set a high bit there).  First candidates
+get their own stream, so large codes keep the gaps on that path.  Save is
+deterministic: identical inputs give byte-identical files.
 """
 
 from __future__ import annotations
 
 import io
 import zlib
+from itertools import accumulate, chain
+from operator import sub
 from pathlib import Path
 
-from .access import AccessIndex, count_groups, prune_unreached
+from .access import AccessIndex, count_groups
 from .decomposition import decompose
 from .errors import InputError
 from .query import format_query, parse_query
 from .storage import TYPE_INT, TYPE_STRING, ValueDictionary
 
-MAGIC = b"LJDA2"
+MAGIC = b"LJDA3"
 _TYPE_TAGS = {TYPE_INT: 0, TYPE_STRING: 1}
 _TAG_TYPES = {v: k for k, v in _TYPE_TAGS.items()}
 
 
-def _write_uvarint(out: io.BytesIO, value: int) -> None:
-    if value < 0:
-        raise InputError("varint must be non-negative")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.write(bytes((byte | 0x80,)))
-        else:
-            out.write(bytes((byte,)))
-            return
+def _write_uvarints(out: io.BytesIO, values: list[int]) -> None:
+    if max(values, default=0) < 0x80:  # each value is its own byte
+        out.write(bytes(values))
+        return
+    buf = bytearray()
+    for value in values:
+        while value > 0x7F:
+            buf.append(value & 0x7F | 0x80)
+            value >>= 7
+        buf.append(value)
+    out.write(buf)
 
 
 def _zigzag(value: int) -> int:
@@ -83,25 +97,34 @@ class _Reader:
         self.pos += n
         return chunk
 
-    def uvarint(self) -> int:
-        shift = 0
-        value = 0
-        while True:
-            byte = self.take(1)[0]
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return value
-            shift += 7
-
-    def increasing(self, first: int, count: int) -> list[int]:
-        """first, then count - 1 values each a non-zero varint gap above the last."""
-        values = [first]
-        for _ in range(count - 1):
-            gap = self.uvarint()
-            if gap == 0:
-                raise InputError("index file values are not strictly increasing")
-            values.append(values[-1] + gap)
+    def uvarints(self, n: int) -> list[int]:
+        """The next n varints, taken as one slice when their first n bytes are all below 0x80."""
+        data, pos = self.data, self.pos
+        chunk = data[pos : pos + n]
+        if len(chunk) < n:  # a varint takes at least one byte
+            raise InputError("index file truncated")
+        if chunk.isascii():
+            self.pos = pos + n
+            return list(chunk)
+        values = []
+        try:
+            for _ in range(n):
+                byte = data[pos]
+                value, shift = byte & 0x7F, 7
+                pos += 1
+                while byte & 0x80:
+                    byte = data[pos]
+                    value |= (byte & 0x7F) << shift
+                    shift += 7
+                    pos += 1
+                values.append(value)
+        except IndexError:
+            raise InputError("index file truncated") from None
+        self.pos = pos
         return values
+
+    def uvarint(self) -> int:
+        return self.uvarints(1)[0]
 
     def type_name(self) -> str:
         type_name = _TAG_TYPES.get(self.take(1)[0])
@@ -125,41 +148,33 @@ def save_index(ix: AccessIndex, path: str | Path) -> None:
     out.write(MAGIC)
 
     pools = ix.dictionary.pool_values
-    _write_uvarint(out, len(pools))
+    _write_uvarints(out, [len(pools)])
     for type_name in sorted(pools):
         out.write(bytes((_TYPE_TAGS[type_name],)))
         values = pools[type_name]
-        _write_uvarint(out, len(values))
+        _write_uvarints(out, [len(values)])
         if type_name == TYPE_INT:
-            prev = None
-            for v in values:
-                _write_uvarint(out, _zigzag(v) if prev is None else v - prev)
-                prev = v
+            _write_uvarints(out, [*map(_zigzag, values[:1]), *map(sub, values[1:], values)])
         else:
             for v in values:
                 data = v.encode("utf-8")
-                _write_uvarint(out, len(data))
+                _write_uvarints(out, [len(data)])
                 out.write(data)
 
     text = format_query(ix.query, ix.order).encode("utf-8")
-    _write_uvarint(out, len(text))
+    _write_uvarints(out, [len(text)])
     out.write(text)
 
     for v in ix.order.variables:
         out.write(bytes((_TYPE_TAGS[ix.var_types[v]],)))
 
-    for table in ix.tables:
-        groups = table.groups
-        _write_uvarint(out, len(groups))
-        for key in sorted(groups):
-            values = groups[key][0]
-            for code in key:
-                _write_uvarint(out, code)
-            _write_uvarint(out, len(values))
-            prev = None
-            for code in values:
-                _write_uvarint(out, code if prev is None else code - prev)
-                prev = code
+    for i, table in enumerate(ix.tables):
+        if ix.decomp.parent[i] is None:
+            _write_uvarints(out, [len(table.groups)])
+        lists = [table.groups[key][0] for key in sorted(table.groups)]
+        _write_uvarints(out, list(map(len, lists)))
+        _write_uvarints(out, [values[0] for values in lists])
+        _write_uvarints(out, list(chain.from_iterable(map(sub, v[1:], v) for v in lists)))
 
     payload = out.getvalue()
     crc = zlib.crc32(payload).to_bytes(4, "little")
@@ -192,14 +207,16 @@ def _decode(blob: bytes) -> AccessIndex:
     r.take(len(MAGIC))
 
     pools: dict[str, list] = {}
-    npools = r.uvarint()
-    for _ in range(npools):
+    for _ in range(r.uvarint()):
         type_name = r.type_name()
         if pools and type_name <= max(pools):
             raise InputError("index file value pools are repeated or out of order")
         count = r.uvarint()
         if type_name == TYPE_INT:
-            pools[type_name] = r.increasing(_unzigzag(r.uvarint()), count) if count else []
+            deltas = [_unzigzag(r.uvarint()), *r.uvarints(count - 1)] if count else []
+            if 0 in deltas[1:]:
+                raise InputError("index file values are not strictly increasing")
+            pools[type_name] = list(accumulate(deltas))
         else:
             values = pools[type_name] = [r.text() for _ in range(count)]
             if any(a >= b for a, b in zip(values, values[1:])):
@@ -211,44 +228,50 @@ def _decode(blob: bytes) -> AccessIndex:
     var_types = {v: r.type_name() for v in order.variables}
 
     decomp = decompose(q, order)
-    candidates, stored_rows = [], []
+    keys: list[list[tuple[int, ...]] | None] = [None] * len(decomp.bags)  # set parents first
+    candidates = []
     for i, bag in enumerate(decomp.bags):
-        pool = dictionary.pool_codes(var_types[bag[-1]])
-        groups: dict[tuple[int, ...], list[int]] = {}
-        last_key = None
-        for _ in range(r.uvarint()):
-            key = tuple(r.uvarint() for _ in range(len(bag) - 1))
-            if last_key is not None and key <= last_key:
-                raise InputError(f"bag {i} groups are not in increasing order")
-            last_key = key
+        if decomp.parent[i] is None:
             count = r.uvarint()
-            if count == 0:
-                raise InputError(f"bag {i} has an empty group")
-            values = r.increasing(r.uvarint(), count)
-            if values[0] not in pool or values[-1] not in pool:
-                raise InputError(f"bag {i} candidate code outside the {var_types[bag[-1]]} pool")
-            groups[key] = values
+            if count > 1:
+                raise InputError(f"root bag {i} has {count} groups, more than one")
+            keys[i] = [()] * count
+        sizes, firsts = r.uvarints(len(keys[i])), r.uvarints(len(keys[i]))
+        if 0 in sizes:
+            raise InputError(f"bag {i} has an empty group")
+        gaps = r.uvarints(sum(sizes) - len(sizes))
+        if 0 in gaps:
+            raise InputError("index file values are not strictly increasing")
+        groups: dict[tuple[int, ...], list[int]] = {}
+        start = 0
+        for key, size, first in zip(keys[i], sizes, firsts):
+            stop = start + size - 1  # one candidate is [first]: list() keeps spare slots
+            groups[key] = list(accumulate(gaps[start:stop], initial=first)) if size > 1 else [first]
+            start = stop
+        pool = dictionary.pool_codes(var_types[bag[-1]])
+        if groups and (min(firsts) not in pool or max(v[-1] for v in groups.values()) not in pool):
+            raise InputError(f"bag {i} candidate code outside the {var_types[bag[-1]]} pool")
+        for c, cols in decomp.links[i]:  # per head, the sorted distinct candidates
+            heads: dict[tuple[int, ...], list[list[int]]] = {}
+            for key, values in groups.items():
+                heads.setdefault(tuple(key[k] for k in cols), []).append(values)
+            keys[c] = [
+                (*head, v)
+                for head, lists in sorted(heads.items())
+                for v in (lists[0] if len(lists) == 1 else sorted(set().union(*lists)))
+            ]
+        # Free now, or the last bag's streams and heads live on through count_groups.
+        keys[i] = sizes = firsts = gaps = heads = None
         candidates.append(groups)
-        stored_rows.append(sum(map(len, groups.values())))
     if not r.at_end():
         raise InputError("trailing bytes after index payload")
 
     tables, total = count_groups(decomp, candidates)
-    bag_rows = [table.rows() for table in tables]
-    for i in reversed(range(len(bag_rows))):  # a bag's loss may come from a child's: name the latest
-        if bag_rows[i] != stored_rows[i]:
-            kids = " or ".join(str(c) for c, _ in decomp.links[i])
-            raise InputError(f"bag {i}: a candidate has no group in child bag {kids}")
-    pruned = prune_unreached(decomp, tables)
-    if pruned:  # a loss cascades down: name the first bag
-        c = pruned[0]
-        raise InputError(f"bag {c}: a group no candidate of parent bag {decomp.parent[c]} reaches")
-
     return AccessIndex(
         decomp=decomp,
         dictionary=dictionary,
         var_types=var_types,
         tables=tables,
         total_count=total,
-        stats={"bag_rows": bag_rows},
+        stats={"bag_rows": [table.rows() for table in tables]},
     )

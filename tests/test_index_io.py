@@ -71,9 +71,9 @@ def test_roundtrip_random_instances(tmp_path):
         assert resaved.read_bytes() == path.read_bytes()
 
 
-# SHA-256 over the saved bytes of the indexes of tests/randgen seeds 0..199.
+# SHA-256 over the saved LJDA3 bytes of the indexes of tests/randgen seeds 0..199.
 # Any change to how an index is built or saved that alters a file changes it.
-RANDOM_INDEXES_SHA256 = "29375ef52a6eb1141a7662312a009290ac84f19a02e0c40253206d974f6991e4"
+RANDOM_INDEXES_SHA256 = "3bf1b2c84802004aca4c7bbc9adbaf0f94c00ef47f6d6fd43191ce9849afa01e"
 
 
 def test_random_index_bytes_unchanged(tmp_path):
@@ -87,9 +87,9 @@ def test_random_index_bytes_unchanged(tmp_path):
     assert digest.hexdigest() == RANDOM_INDEXES_SHA256
 
 
-# SHA-256 over the saved bytes and the repr of stats["bag_rows"] of the indexes
+# SHA-256 over the saved LJDA3 bytes and the repr of stats["bag_rows"] of the indexes
 # of tests/randgen seeds 200..399.
-RANDOM_INDEXES_200_399_SHA256 = "6977cc45ac512a51cfec5d881d363ab498b828d7aeb834d165911dc551f21657"
+RANDOM_INDEXES_200_399_SHA256 = "746050943ef831b609da2031c0c8c0b32191fcf04b1cbf6bd452e8be0a269adc"
 
 
 def test_random_index_bytes_and_bag_rows_unchanged(tmp_path):
@@ -129,28 +129,30 @@ def test_truncation_rejected(tmp_path):
 # (zigzag -4, then gaps) and strings "a", "b", "c".
 SAMPLE_DICTIONARY = bytes((2, 0, 5, 7, 5, 1, 3, 2, 1, 3, 1, 97, 1, 98, 1, 99))
 
-# The groups section of sample_index's file, per bag in order:
-# {z}: one group, candidates 3, 4 (z = 5, 7);
-# {z, y}: groups 3 -> [5], 4 -> [6] (y = "a", "b");
-# {y, x}: groups 5 -> [0, 1], 6 -> [1, 2] (x = -4, 1, 2).
-SAMPLE_GROUPS = bytes((1, 2, 3, 1, 2, 3, 1, 5, 4, 1, 6, 2, 5, 2, 0, 1, 6, 2, 1, 1))
+# The groups section of sample_index's file, per bag in order: a root's group
+# count, then the bag's group sizes, first candidates and gaps.  No key is
+# stored; each child key is a parent candidate (the links take no other column):
+# {z}, a root: 1 group (); sizes 2; firsts 3; gaps 1 (candidates 3, 4: z = 5, 7);
+# {z, y}: keys (3,), (4,); sizes 1, 1; firsts 5, 6; no gaps (y = "a", "b");
+# {y, x}: keys (5,), (6,); sizes 2, 2; firsts 0, 1; gaps 1, 1 (x = -4, 1, 2).
+SAMPLE_GROUPS = bytes((1, 2, 3, 1, 1, 1, 5, 6, 2, 2, 0, 1, 1, 1))
 
 # One byte rewrite each: (section, offset into it, new byte, error message).
 # The query text of sample_index is "Q(x, y, z) :- R(x, y), S(y, z).\nORDER z, y, x".
 CORRUPTIONS = {
     "ljda1-magic": ("magic", len(MAGIC) - 1, ord("1"), "unsupported index format"),
+    "ljda2-magic": ("magic", len(MAGIC) - 1, ord("2"), "unsupported index format"),
     "ljda9-magic": ("magic", len(MAGIC) - 1, ord("9"), "unsupported index format"),
     "repeated-pool": ("dictionary", 8, 0, "pools are repeated or out of order"),
     "unsorted-string-pool": ("dictionary", 11, ord("d"), "not strictly increasing"),
     "query-text": ("query", 11, ord("="), "1:12: expected ':-'"),
     "zero-gap": ("groups", 3, 0, "not strictly increasing"),
-    "empty-group": ("groups", 13, 0, "empty group"),
+    "empty-group": ("groups", 4, 0, "bag 1 has an empty group"),
     "code-outside-pool": ("groups", 2, 5, "outside the int pool"),
-    "missing-child-group": ("groups", 16, 7, "no group in child bag"),
-    # y = "b" -> "a" in bag {z, y}: bag {y, x}'s group "b" is left unreached.
-    "unreached-group": ("groups", 10, 5, "bag 2: a group no candidate of parent bag 1 reaches"),
-    "unordered-groups": ("groups", 5, 5, "not in increasing order"),
-    "truncated": ("groups", 17, 9, "index file truncated"),
+    "two-root-groups": ("groups", 0, 2, "root bag 0 has 2 groups"),
+    "truncated": ("groups", 9, 9, "index file truncated"),
+    # Written one past the end of the payload, the byte is appended.
+    "trailing-byte": ("groups", len(SAMPLE_GROUPS), 0, "trailing bytes after index payload"),
 }
 
 
@@ -167,7 +169,7 @@ def test_resealed_corruption_rejected(tmp_path, capsys, case):
     assert payload[groups:] == SAMPLE_GROUPS
     starts = {"magic": 0, "dictionary": len(MAGIC), "query": payload.index(text), "groups": groups}
     start = starts[section]
-    payload[start + offset] = value
+    payload[start + offset : start + offset + 1] = bytes((value,))
     path.write_bytes(bytes(payload) + zlib.crc32(payload).to_bytes(4, "little"))
     with pytest.raises(InputError, match=message) as caught:
         load_index(path)
@@ -253,6 +255,36 @@ def test_loaded_index_supports_membership(tmp_path):
         assert loaded.test_membership(probe) == verdict
         members += verdict
     assert 0 < members < 200
+
+
+def test_zero_answers_with_rows_roundtrip(tmp_path):
+    # Two roots, one empty: no answer, yet bag {x} keeps its rows, so a root
+    # bag stores its group count.
+    q, order = parse_query("Q(x,y) :- R(x), S(y).")
+    db = build_database({"R": (["int"], [(1,), (2,)]), "S": (["int"], [])})
+    ix = build_index(q, order, db)
+    assert (ix.stats["bag_rows"], ix.count()) == ([2, 0], 0)
+    path = tmp_path / "zero.idx"
+    save_index(ix, path)
+    loaded = load_index(path)
+    assert (loaded.stats["bag_rows"], loaded.count()) == ([2, 0], 0)
+    assert loaded.tables == ix.tables
+
+
+def test_codes_above_one_byte_roundtrip(tmp_path):
+    # 300 distinct ints: bag {x, y}'s first candidates run to code 299 and take
+    # the varint loop, while bag {x}'s gaps (all 1) are read as one slice.  The
+    # smallest value, 10**6, is a three-byte varint in the dictionary.
+    q, order = parse_query("Q(x,y) :- R(x,y).")
+    db = build_database({"R": (["int", "int"], [(v, v) for v in range(10**6, 10**6 + 300)])})
+    ix = build_index(q, order, db)
+    path, again = tmp_path / "wide.idx", tmp_path / "wide.again.idx"
+    save_index(ix, path)
+    loaded = load_index(path)
+    assert loaded.tables == ix.tables
+    assert loaded.count() == ix.count() == 300
+    save_index(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_empty_index_roundtrip(tmp_path):

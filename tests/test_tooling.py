@@ -1,6 +1,8 @@
 import json
+import re
 import runpy
 
+from lexjoin import index_io
 from tests import ROOT
 
 
@@ -17,3 +19,13 @@ def test_layers_map_names_the_benchmark_per_layer_metrics():
     layers = json.loads((ROOT / "perfbench" / "layers.json").read_text(encoding="utf-8"))
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     assert sorted(layers) == sorted(m["name"] for m in spec["per_layer"])
+
+
+def test_readme_names_the_current_index_format():
+    # The README's "magic `LJDAn`" is the format load accepts; any other LJDA
+    # it names is an earlier format, one that must be rebuilt.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    current = index_io.MAGIC.decode()
+    assert re.findall(r"magic `(LJDA\d+)`", readme) == [current]
+    version = int(current[4:])
+    assert all(int(d) <= version for d in re.findall(r"LJDA(\d+)", readme))
