@@ -336,8 +336,9 @@ def _variable_types(q: JoinQuery, db: Database) -> dict[str, str]:
     return types
 
 
+@storage.gc_paused
 def build_index(q: JoinQuery, order: VariableOrder, db: Database) -> AccessIndex:
-    """Preprocess the database for direct access under ``order``."""
+    """Preprocess the database for direct access under ``order`` with cyclic GC paused."""
     order.check_against(q)
     var_types = _variable_types(q, db)
     decomp: Decomposition = decompose(q, order)

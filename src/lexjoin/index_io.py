@@ -57,7 +57,7 @@ from .access import AccessIndex, count_groups
 from .decomposition import decompose
 from .errors import InputError
 from .query import format_query, parse_query
-from .storage import TYPE_INT, TYPE_STRING, ValueDictionary
+from .storage import TYPE_INT, TYPE_STRING, ValueDictionary, gc_paused
 
 MAGIC = b"LJDA3"
 _TYPE_TAGS = {TYPE_INT: 0, TYPE_STRING: 1}
@@ -184,8 +184,9 @@ def save_index(ix: AccessIndex, path: str | Path) -> None:
         raise InputError(f"{path}: cannot write index file: {exc.strerror}") from None
 
 
+@gc_paused
 def load_index(path: str | Path) -> AccessIndex:
-    """Load an index saved by :func:`save_index`; fails loudly on any mismatch."""
+    """Load an index saved by :func:`save_index` with cyclic GC paused; fails loudly on any mismatch."""
     try:
         return _decode(Path(path).read_bytes())
     except OSError as exc:

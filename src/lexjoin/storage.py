@@ -26,6 +26,8 @@ database is immutable once built.
 from __future__ import annotations
 
 import csv
+import functools
+import gc
 import json
 from dataclasses import dataclass, field
 from itertools import groupby, islice
@@ -38,6 +40,37 @@ from .errors import InputError, InternalError
 TYPE_INT = "int"
 TYPE_STRING = "string"
 _TYPE_ALIASES = {"int": TYPE_INT, "integer": TYPE_INT, "string": TYPE_STRING, "str": TYPE_STRING}
+
+
+def gc_paused(fn):
+    """``fn`` with cyclic GC off for each call; the caller's state is restored on any exit.
+
+    Set-up and load (``load``, ``access.build_index``, ``index_io.load_index``)
+    allocate hundreds of thousands of tuples and lists that hold only ints and
+    form no cycle, yet they set off GC passes that find nothing to collect.  A
+    call made with GC already off, a nested one included, leaves it off.  What
+    the call allocated is scanned once, by the first collection after it.
+
+    The pause applies to the whole process, and it is not coordinated between
+    threads: a thread's call that ends turns GC back on while another thread's
+    paused call may still run.  ``build_database`` is not paused: its rows are
+    already the caller's objects, and its main caller, the reduction, makes
+    dozens of small databases per graph, where GC off for the whole reduction
+    gained nothing over pausing its builds alone.  Serving is not paused: one
+    access or rank makes a handful of objects, too few to set off a pass.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    return paused
 
 
 def normalize_type(name: str) -> str:
@@ -189,7 +222,7 @@ def _read_columns(symbol: str, path: Path, types: list[str] | None):
     types = tuple([TYPE_STRING] * len(rows[0]) if types is None else types)
     if set(map(len, rows)) - {len(types)}:
         _raise_bad_record(path, records, types)
-    # One pass per column: zip(*rows) would make an iterator per row, which churns the GC.
+    # One pass per column: zip(*rows) would make an iterator per row.
     columns = [list(map(itemgetter(k), rows)) for k in range(len(types))]
     try:
         columns = [list(map(int, c)) if t == TYPE_INT else c for t, c in zip(types, columns)]
@@ -211,8 +244,9 @@ def _raise_bad_record(path: Path, records: list[list[str]], types: tuple[str, ..
     raise InternalError(f"{path}: a column check failed on no record")
 
 
+@gc_paused
 def load(manifest_path: str | Path) -> Database:
-    """Load a database from a JSON manifest and its CSV files."""
+    """Load a database from a JSON manifest and its CSV files with cyclic GC paused."""
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(read_text(manifest_path, "manifest"))

@@ -76,6 +76,31 @@ def _collapse_repeats(rel: Relation, vs: tuple[str, ...]) -> tuple[Relation, tup
     return Relation(len(cols), keep), tuple(first.keys())
 
 
+def _extend(users: list[list[int]], prefix: tuple[int, ...], nodes: list, out: list) -> None:
+    """Append to ``out`` every join row extending ``prefix``, in order.
+
+    ``nodes[a]`` is atom a's trie node under ``prefix``, None below its last
+    variable; ``users[d]`` lists the atoms whose tries branch on variable d.
+    A module function, not a closure: a closure calling itself sits in a
+    reference cycle with ``out``, and would keep every row until cyclic GC ran.
+    """
+    depth = len(prefix)
+    here = [nodes[a] for a in users[depth]]
+    lead = min(here, key=len)
+    values = lead
+    for node in here:
+        if node is not lead:
+            values = [v for v in values if v in node]
+    if depth == len(users) - 1:
+        out.extend(prefix + (v,) for v in values)
+        return
+    for value in values:
+        below = nodes.copy()
+        for a, node in zip(users[depth], here):
+            below[a] = node[value]
+        _extend(users, prefix + (value,), below, out)
+
+
 def generic_join(sq: SubQuery, db: Database | None, order: Sequence[str]) -> Relation:
     """All assignments satisfying every atom, in worst-case-optimal time.
 
@@ -108,25 +133,7 @@ def generic_join(sq: SubQuery, db: Database | None, order: Sequence[str]) -> Rel
         roots.append(trie)
 
     out: list[tuple[int, ...]] = []
-
-    # nodes[a] is atom a's trie node under prefix, None below its last variable.
-    def recurse(depth: int, prefix: tuple[int, ...], nodes: list[dict | None]) -> None:
-        here = [nodes[a] for a in users[depth]]
-        lead = min(here, key=len)
-        values = lead
-        for node in here:
-            if node is not lead:
-                values = [v for v in values if v in node]
-        if depth == len(order) - 1:
-            out.extend(prefix + (v,) for v in values)
-            return
-        for value in values:
-            below = nodes.copy()
-            for a, node in zip(users[depth], here):
-                below[a] = node[value]
-            recurse(depth + 1, prefix + (value,), below)
-
-    recurse(0, (), roots)
+    _extend(users, (), roots, out)
     if order != sq.output:  # two or more columns, so itemgetter gives tuples
         out = list(map(itemgetter(*(pos[v] for v in sq.output)), out))
     return Relation(len(sq.output), out)

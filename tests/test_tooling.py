@@ -2,7 +2,7 @@ import json
 import re
 import runpy
 
-from lexjoin import index_io
+from lexjoin import access, hardness, index_io, storage
 from tests import ROOT
 
 
@@ -12,6 +12,12 @@ def test_tracing_entry_points_resolve():
     tracing = runpy.run_path(str(ROOT / "perfbench" / "tracing.py"))
     for owner, attr, span, _ in tracing["ENTRY_POINTS"]:
         assert callable(getattr(owner, attr, None)), (span, attr)
+    # The set-up entry points are storage.gc_paused wrappers, which must keep
+    # the name and docstring of the function they wrap.
+    for fn in (storage.load, access.build_index, index_io.load_index):
+        assert fn.__name__ == fn.__wrapped__.__name__ and fn.__doc__ == fn.__wrapped__.__doc__
+        assert fn.__doc__ and "cyclic GC paused" in fn.__doc__, fn.__name__
+    assert hardness.build_index is access.build_index
 
 
 def test_layers_map_names_the_benchmark_per_layer_metrics():
