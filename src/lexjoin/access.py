@@ -21,19 +21,21 @@ Build phase, driven by the order-induced decomposition, whose bag forest
    totals, looked up by value under each child's interface head; a candidate
    with no group in a child bag is dropped, and so is a group left empty;
    each group keeps prefix sums of its counts.  Roots down, a child group
-   stays when some parent candidate reaches it, which changes no count; a
-   child bag is filtered only when it has more groups than its parent's
-   distinct candidates per head.  Every candidate left extends to an answer.
+   stays when some parent candidate reaches it (``reached``, the rule load
+   derives every child key by), which changes no count; a child bag is
+   filtered only when it has more groups than ``reached`` names.  Every
+   candidate left extends to an answer.
 
 An access then walks the variables in order.  At each variable the pending
 groups (one per bag whose interface is fully assigned but whose variable is
 not) partition the remaining answers into a product; choosing the value
 block containing the residual index is one binary search over the group's
 prefix sums, scaled by the product of the other pending group totals.
-Rank runs the same walk with the values given; stopped after the first w
-variables it yields ``prefix_range``, the contiguous block of answers that
-share a w-value prefix.  Membership is a rank that succeeds, so built and
-loaded indexes answer it the same way, from the bags alone.
+``prefix_range`` runs the same walk with the values given, stopped after the
+first w variables: the contiguous block of answers that share a w-value
+prefix.  Rank is that walk over every variable and returns the block's
+start; membership asks whether the block is non-empty.  Built and loaded
+indexes answer both the same way, from the bags alone.
 Counts are arbitrary-precision throughout: answer counts reach |D|^(number
 of variables) and would overflow any fixed width.
 
@@ -49,7 +51,7 @@ from fractions import Fraction
 from itertools import accumulate, compress, groupby, repeat
 from math import floor, prod
 from operator import itemgetter, mul
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import storage
 from .decomposition import Decomposition, decompose
@@ -139,39 +141,19 @@ class AccessIndex:
 
     def rank_codes(self, codes: Sequence[int]) -> int:
         """Position of an encoded answer (order positions); inverse of access_codes."""
-        # Own loop: as prefix_range(codes)[0], rank_p99_us rose 31-43% in perfbench (2-core host).
-        n = len(self.bags)
-        if len(codes) != n:
-            raise InputError(f"expected {n} values, got {len(codes)}")
-        r = 0
-        live = self.total_count
-        if live == 0:
-            raise NotAnAnswerError("query has no answers")
-        keys: list[tuple[int, ...] | None] = [None] * n
-        for root in self.roots:
-            keys[root] = ()
-        for i in range(n):
-            key = keys[i]
-            entry = self.tables[i].groups.get(key)
-            if entry is None:
-                raise NotAnAnswerError(f"no completion at variable {self.order.variables[i]}")
-            values, prefix = entry
-            idx = bisect_left(values, codes[i])
-            if idx == len(values) or values[idx] != codes[i]:
-                raise NotAnAnswerError(f"value at variable {self.order.variables[i]} not present")
-            block = live // prefix[-1]
-            below = prefix[idx - 1] if idx else 0
-            r += block * below
-            live = block * (prefix[idx] - below)
-            for c, cols in self.links[i]:
-                keys[c] = (*map(key.__getitem__, cols), codes[i])
-        return r
+        if len(codes) != len(self.bags):
+            raise InputError(f"expected {len(self.bags)} values, got {len(codes)}")
+        start, stop = self.prefix_range(codes)
+        if start == stop:
+            raise NotAnAnswerError("no answer has these values")
+        return start
 
     def prefix_range(self, codes: Sequence[int]) -> tuple[int, int]:
         """Index range [start, stop) of the answers whose first order positions equal codes.
 
-        The rank walk over the first len(codes) variables.  When no answer has
-        the prefix, the range is empty and sits at the prefix's insertion point.
+        The walk that rank_codes and test_membership run over every variable,
+        here stopped after len(codes) of them.  When no answer has the prefix,
+        the range is empty and sits at the prefix's insertion point.
         """
         n = len(self.bags)
         if len(codes) > n:
@@ -248,19 +230,16 @@ class AccessIndex:
         return self.access(floor(q * (self.total_count - 1)))
 
     def test_membership(self, t: Sequence) -> bool:
-        """True iff t is an answer: its values are encoded and rank finds them."""
+        """True iff t is an answer: its values are encoded and their full range is not empty."""
         codes = self._encode_head_tuple(t)
         if codes is None:
             return False
-        try:
-            self.rank_codes(codes)
-        except NotAnAnswerError:
-            return False
-        return True
+        start, stop = self.prefix_range(codes)
+        return start < stop
 
 
 # ---------------------------------------------------------------------- #
-# build; count_groups is shared with load, which needs no prune_unreached
+# build; load shares count_groups and reached, and needs no prune_unreached
 
 
 def count_groups(
@@ -298,26 +277,42 @@ def count_groups(
     return tuple(tables), total
 
 
+def reached(
+    groups: Iterable[tuple[tuple[int, ...], list[int]]], cols: Sequence[int]
+) -> dict[tuple[int, ...], list[int]]:
+    """The full reducer's roots-down rule: the child keys that a parent's groups name.
+
+    ``groups`` are the parent's (key, sorted candidates) pairs and ``cols`` a
+    link's columns; child key (head, v) is reached when some parent key has
+    ``head`` at ``cols`` and ``v`` among its candidates.  Returns, per head in
+    first-seen order, the sorted distinct candidates; a head named by one
+    parent key gets that key's list itself.
+    """
+    heads: dict[tuple[int, ...], list[list[int]]] = {}
+    for key, values in groups:
+        heads.setdefault(tuple(key[k] for k in cols), []).append(values)
+    return {
+        head: lists[0] if len(lists) == 1 else sorted(set().union(*lists))
+        for head, lists in heads.items()
+    }
+
+
 def prune_unreached(decomp: Decomposition, tables: Sequence[GroupTable]) -> list[int]:
     """The full reducer's roots-down half: drop each group no parent candidate reaches.
 
     Build only; a loaded file stores no key, so it can hold no unreached group.
     Returns the bags that lost groups, parents first, so a loss cascades down.
-    A child bag is filtered only when it has more groups than reached keys,
-    counted as the parent's distinct candidates per child head.
+    A child bag is filtered only when ``reached`` names fewer keys than it has
+    groups.
     """
     pruned = []
     for i, links in enumerate(decomp.links):
         for c, cols in links:
-            heads: dict[tuple[int, ...], list[list[int]]] = {}
-            for key, (values, _) in tables[i].groups.items():
-                heads.setdefault(tuple(key[k] for k in cols), []).append(values)
+            heads = reached(((key, values) for key, (values, _) in tables[i].groups.items()), cols)
             child = tables[c].groups
-            if sum(len(set().union(*lists)) for lists in heads.values()) < len(child):
-                reached = {head: set().union(*lists) for head, lists in heads.items()}
-                tables[c].groups = {
-                    k: e for k, e in child.items() if k[-1] in reached.get(k[:-1], ())
-                }
+            if sum(map(len, heads.values())) < len(child):
+                keep = {(*head, v) for head, values in heads.items() for v in values}
+                tables[c].groups = {k: e for k, e in child.items() if k in keep}
                 pruned.append(c)
     return pruned
 

@@ -26,17 +26,17 @@ groups                       per bag, in order: a root bag's group count (0 or
 checksum                     CRC-32 of everything before it, 4 bytes, little-endian
 ===========================  ===================================================
 
-Why no key is stored: a child bag's key is its parent's key at the link's
-columns (the head) followed by a parent candidate.  The build's full reducer
-keeps exactly these pairs as keys: ``count_groups`` drops a candidate with
-no group in some child, and ``prune_unreached`` a group that no pair names.
-So load derives each bag's keys from its parent's groups, per head the
-sorted distinct candidates, and a root's only key is ``()``.  Each derived
-key gets a group of at least one candidate, so no candidate lacks a child
-group and no group is unreached: load drops nothing and needs no prune.  It
-rejects what the format can still get wrong: an empty group, a zero gap, a
-candidate outside its pool, a root with more than one group, truncation and
-trailing bytes.
+Why no key is stored: the build's full reducer keeps as a child bag's keys
+exactly those that ``access.reached`` names from its parent's groups:
+``count_groups`` drops a candidate with no group in some child, and
+``prune_unreached`` a group that ``reached`` does not name.  So load calls
+``reached`` on each parent's groups and lists the keys in saved order,
+heads sorted, and a root's only key is ``()``.  Each derived key gets a
+group of at least one candidate, so no candidate lacks a child group and no
+group is unreached: load drops nothing and needs no prune.  It rejects what
+the format can still get wrong: an empty group, a zero gap, a candidate
+outside its pool, a root with more than one group, truncation and trailing
+bytes.
 
 A stream of values below 0x80 is its own bytes: save writes it with one
 ``bytes`` call, and load takes it as one slice when its next n bytes are all
@@ -53,7 +53,7 @@ from itertools import accumulate, chain
 from operator import sub
 from pathlib import Path
 
-from .access import AccessIndex, count_groups
+from .access import AccessIndex, count_groups, reached
 from .decomposition import decompose
 from .errors import InputError
 from .query import format_query, parse_query
@@ -252,15 +252,9 @@ def _decode(blob: bytes) -> AccessIndex:
         pool = dictionary.pool_codes(var_types[bag[-1]])
         if groups and (min(firsts) not in pool or max(v[-1] for v in groups.values()) not in pool):
             raise InputError(f"bag {i} candidate code outside the {var_types[bag[-1]]} pool")
-        for c, cols in decomp.links[i]:  # per head, the sorted distinct candidates
-            heads: dict[tuple[int, ...], list[list[int]]] = {}
-            for key, values in groups.items():
-                heads.setdefault(tuple(key[k] for k in cols), []).append(values)
-            keys[c] = [
-                (*head, v)
-                for head, lists in sorted(heads.items())
-                for v in (lists[0] if len(lists) == 1 else sorted(set().union(*lists)))
-            ]
+        for c, cols in decomp.links[i]:  # the saved key order: heads sorted, then candidates
+            heads = sorted(reached(groups.items(), cols).items())
+            keys[c] = [(*head, v) for head, values in heads for v in values]
         # Free now, or the last bag's streams and heads live on through count_groups.
         keys[i] = sizes = firsts = gaps = heads = None
         candidates.append(groups)

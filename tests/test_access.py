@@ -106,6 +106,61 @@ def test_rank_rejects_non_answers():
         ix.rank((1,))
 
 
+def assert_rank_walk(ix, t, answers):
+    """rank_codes, prefix_range and test_membership agree with the answer set on codes t."""
+    start, stop = ix.prefix_range(t)
+    member = ix.test_membership(tuple(ix.dictionary.decode(t[c]) for c in ix.head_cols))
+    if t in answers:
+        assert ix.rank_codes(t) == start == stop - 1 and member
+    else:
+        with pytest.raises(NotAnAnswerError):
+            ix.rank_codes(t)
+        assert start == stop and not member
+    return t in answers
+
+
+def test_rank_rejects_non_answers_whose_values_are_encoded(tmp_path):
+    # Change one value of an answer, at the first, a middle or the last
+    # variable, to another code of its type: every value stays in the
+    # dictionary, so rank gets past encoding and the walk must reject it.
+    members = non_members = 0
+    for seed in range(60):
+        q, order, db, ix = built_random(seed)
+        save_index(ix, tmp_path / "ix.idx")
+        loaded = load_index(tmp_path / "ix.idx")
+        rows = materialize_codes(q, order, db)
+        answers = set(rows)
+        n = len(order.variables)
+        rng = random.Random(seed)
+        for row in rng.sample(rows, min(5, len(rows))):
+            for p in sorted({0, n // 2, n - 1}):
+                pool = db.dictionary.pool_codes(ix.var_types[order.variables[p]])
+                others = [c for c in pool if c != row[p]]
+                if not others:
+                    continue
+                t = (*row[:p], rng.choice(others), *row[p + 1 :])
+                for index in (ix, loaded):
+                    if assert_rank_walk(index, t, answers):
+                        members += 1
+                    else:
+                        non_members += 1
+    assert members >= 20 and non_members >= 200, (members, non_members)
+
+
+def test_rank_rejects_encoded_tuple_when_one_root_is_empty(tmp_path):
+    # Two roots, S empty: no answer, although 1 and 2 are encoded (from R).
+    q, order = parse_query("Q(x,y) :- R(x), S(y).")
+    db = build_database({"R": (["int"], [(1,), (2,)]), "S": (["int"], [])})
+    ix = build_index(q, order, db)
+    save_index(ix, tmp_path / "zero.idx")
+    for index in (ix, load_index(tmp_path / "zero.idx")):
+        assert index.count() == 0
+        for t in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+            assert not assert_rank_walk(index, t, set())
+        with pytest.raises(NotAnAnswerError):
+            index.rank((1, 2))
+
+
 def test_rank_of_cross_product_pair():
     ix = cross_index()
     assert ix.rank((1, 2)) == 1
@@ -271,6 +326,47 @@ def test_prune_drops_unreached_groups_in_cascade(tmp_path, monkeypatch):
     loaded = load_index(path)
     assert loaded.tables == ix.tables
     assert loaded.stats["bag_rows"] == ix.stats["bag_rows"] == [2, 3, 3, 3]
+
+
+def test_reached_merges_candidates_per_head():
+    # cols (1,) are not a prefix of the parent key, so heads 5, 6, 3 arrive
+    # out of key order; head 5 is named by two parent keys with overlapping
+    # candidates, and a head named once gets that key's own list.
+    once = [7, 9]
+    groups = [((1, 5), [7, 8]), ((1, 6), once), ((2, 3), [1]), ((2, 5), [6, 8])]
+    heads = access.reached(groups, (1,))
+    assert heads == {(5,): [6, 7, 8], (6,): [7, 9], (3,): [1]}
+    assert list(heads) == [(5,), (6,), (3,)]
+    assert heads[(6,)] is once
+    assert access.reached(groups, ()) == {(): [1, 6, 7, 8, 9]}
+    assert access.reached(groups, (0, 1)) == {key: values for key, values in groups}
+
+
+def test_reached_keys_for_prune_and_load(tmp_path, monkeypatch):
+    # Bag (a, b, c) links to bag (b, c, d) at column 1 of its key (a, b), so
+    # heads b arrive out of key order, and b = 5 gets c from a = 1 and a = 2.
+    # S's (b, c) pairs (3, 2), (4, 7) and (5, 9) are in no R row: unreached.
+    q, order = parse_query("Q(a,b,c,d) :- R(a,b,c), S(b,c,d).")
+    r = [(1, 5, 7), (1, 5, 8), (1, 6, 7), (1, 6, 9), (2, 3, 1), (2, 5, 6), (2, 5, 8)]
+    s = [(5, 6, 0), (5, 7, 0), (5, 8, 1), (6, 7, 2), (6, 9, 2), (3, 1, 3)]
+    unreached = [(3, 2, 4), (4, 7, 5), (5, 9, 6)]
+    db = build_database({"R": (["int"] * 3, r), "S": (["int"] * 3, s + unreached)})
+    real, pruned = access.prune_unreached, []
+    monkeypatch.setattr(access, "prune_unreached", lambda d, t: pruned.append(real(d, t)))
+    ix = build_index(q, order, db)
+    assert ix.bags[2:] == (("a", "b", "c"), ("b", "c", "d")) and ix.links[2] == ((3, (1,)),)
+    assert pruned == [[3]]
+    code = lambda v: db.dictionary.encode("int", v)  # noqa: E731
+    named = sorted({(code(b), code(c)) for _, b, c in r})
+    heads = access.reached(((k, vs) for k, (vs, _) in ix.tables[2].groups.items()), (1,))
+    assert list(heads) != sorted(heads)
+    assert [(*head, v) for head, vs in sorted(heads.items()) for v in vs] == named
+    assert list(ix.tables[3].groups) == named
+    save_index(ix, tmp_path / "q.idx")
+    loaded = load_index(tmp_path / "q.idx")
+    assert list(loaded.tables[3].groups) == named
+    assert loaded.tables == ix.tables
+    assert materialize_codes(q, order, db) == list(map(ix.access_codes, range(ix.count())))
 
 
 # A bag skips the semijoin only with the atoms that own one of its cover edges,

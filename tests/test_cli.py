@@ -116,6 +116,17 @@ def test_rank_not_an_answer_exit_3(workdir, capsys):
     assert "not an answer" in err
 
 
+def test_rank_with_one_empty_root_exit_3(workdir, capsys):
+    # Both values are encoded (from R), but S is empty, so nothing is an answer.
+    (workdir / "S.csv").write_text("")
+    idx = workdir / "q.idx"
+    run(capsys, "build", "-q", workdir / "q.jq", "-m", workdir / "manifest.json", "-o", idx)
+    assert run(capsys, "count", "-i", idx)[:2] == (0, "0\n")
+    code, out, err = run(capsys, "rank", "-i", idx, "-t", "1,2")
+    assert (code, out) == (3, "")
+    assert err.startswith("not an answer:")
+
+
 def test_enum_matches_oracle(workdir, capsys):
     idx = workdir / "q.idx"
     run(capsys, "build", "-q", workdir / "q.jq", "-m", workdir / "manifest.json", "-o", idx)
