@@ -63,7 +63,11 @@ from .wcoj import SubQuery, _collapse_repeats, generic_join
 
 @dataclass
 class GroupTable:
-    """Per-interface sorted candidates with inclusive prefix sums of weights."""
+    """Per-interface sorted candidates with inclusive prefix sums of weights.
+
+    ``groups`` holds its keys in increasing order, which is the order
+    ``index_io.save_index`` writes them in.
+    """
 
     groups: dict[tuple[int, ...], tuple[list[int], list[int]]]
 
@@ -183,11 +187,11 @@ class AccessIndex:
         if len(t) != len(self.order.variables):
             raise InputError(f"expected {len(self.order.variables)} values, got {len(t)}")
         codes = [0] * len(t)
-        for value, v in zip(t, self.query.variables):
+        for value, v, c in zip(t, self.query.variables, self.head_cols):
             code = self.dictionary.try_encode(self.var_types[v], value)
             if code is None:
                 return None
-            codes[self.order.position(v)] = code
+            codes[c] = code
         return codes
 
     def rank(self, t: Sequence) -> int:

@@ -308,13 +308,21 @@ def _gen_lw(args, rng: random.Random):
 
 
 # A generator draws, so checks its arguments, before returning a writer and sidecar fields.
+# Each family takes only its own flags, given here with their defaults; False is a switch.
 _GENERATORS = {
-    "star": _gen_star, "setdisj": _gen_setdisj, "zeroclique": _gen_zeroclique, "lw": _gen_lw
+    "star": (_gen_star, {"k": 2, "per-relation": 100, "x-domain": 50, "z-domain": 50}),
+    "setdisj": (
+        _gen_setdisj, {"k": 2, "sets": 10, "universe": 32, "max-set-size": 8, "queries": None}
+    ),
+    "zeroclique": (
+        _gen_zeroclique, {"parts": 3, "part-size": 12, "weight-bound": 10**6, "planted": False}
+    ),
+    "lw": (_gen_lw, {"k": 2, "per-relation": 100, "domain": 50}),
 }
 
 
 def cmd_gen(args) -> int:
-    write, params = _GENERATORS[args.family](args, random.Random(args.seed))
+    write, params = _GENERATORS[args.family][0](args, random.Random(args.seed))
     outdir = Path(args.out)
     sidecar = {"schema": SCHEMA_VERSION, "family": args.family, "seed": args.seed, **params}
     try:
@@ -401,22 +409,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("gen", help="emit benchmark instance files")
-    p.add_argument("family", choices=list(_GENERATORS))
-    p.add_argument("-o", "--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--per-relation", dest="per_relation", type=int, default=100)
-    p.add_argument("--x-domain", dest="x_domain", type=int, default=50)
-    p.add_argument("--z-domain", dest="z_domain", type=int, default=50)
-    p.add_argument("--sets", type=int, default=10)
-    p.add_argument("--universe", type=int, default=32)
-    p.add_argument("--max-set-size", dest="max_set_size", type=int, default=8)
-    p.add_argument("--queries", type=int, default=None)
-    p.add_argument("--parts", type=int, default=3)
-    p.add_argument("--part-size", dest="part_size", type=int, default=12)
-    p.add_argument("--weight-bound", dest="weight_bound", type=int, default=10**6)
-    p.add_argument("--planted", action="store_true")
-    p.add_argument("--domain", type=int, default=50)
+    families = p.add_subparsers(dest="family", required=True)
+    for family, (_, flags) in _GENERATORS.items():
+        f = families.add_parser(family)
+        f.add_argument("-o", "--out", required=True)
+        f.add_argument("--seed", type=int, default=0)
+        for flag, default in flags.items():
+            if default is False:
+                f.add_argument(f"--{flag}", action="store_true")
+            else:
+                f.add_argument(f"--{flag}", type=int, default=default)
     p.set_defaults(fn=cmd_gen)
 
     return parser

@@ -171,7 +171,7 @@ def save_index(ix: AccessIndex, path: str | Path) -> None:
     for i, table in enumerate(ix.tables):
         if ix.decomp.parent[i] is None:
             _write_uvarints(out, [len(table.groups)])
-        lists = [table.groups[key][0] for key in sorted(table.groups)]
+        lists = [values for values, _ in table.groups.values()]  # held in key order
         _write_uvarints(out, list(map(len, lists)))
         _write_uvarints(out, [values[0] for values in lists])
         _write_uvarints(out, list(chain.from_iterable(map(sub, v[1:], v) for v in lists)))

@@ -7,15 +7,17 @@ Grammar of a query file (UTF-8, ``#`` comments run to end of line)::
     order   := "ORDER" varlist
     varlist := NAME ("," NAME)*
 
-Identifiers are ASCII letters, digits and underscores, starting with a
-letter or underscore; everything is case-sensitive.  The head must list
-every variable occurring in the body and nothing else (there is no
-projection), and it doubles as the lexicographic order unless an ORDER
+Identifiers are ASCII letters, digits and underscores, starting with an
+ASCII letter or underscore; everything is case-sensitive.  ``ORDER`` is a
+whole token, so ``ORDERy`` is an identifier, not ``ORDER y``.  The head
+must list every variable occurring in the body and nothing else (there is
+no projection), and it doubles as the lexicographic order unless an ORDER
 clause overrides it.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import InputError, ParseError
@@ -95,110 +97,67 @@ class VariableOrder:
             raise InputError("order is not a permutation of the query variables")
 
 
-_TOKEN_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
-
-
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.i = 0
-        self.line = 1
-        self.col = 1
-
-    def _advance(self, n: int = 1):
-        for _ in range(n):
-            if self.i < len(self.text) and self.text[self.i] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.i += 1
-
-    def _skip_space(self):
-        while self.i < len(self.text):
-            c = self.text[self.i]
-            if c == "#":
-                while self.i < len(self.text) and self.text[self.i] != "\n":
-                    self._advance()
-            elif c.isspace():
-                self._advance()
-            else:
-                return
-
-    def peek(self) -> str | None:
-        self._skip_space()
-        return self.text[self.i] if self.i < len(self.text) else None
-
-    def error(self, message: str):
-        self._skip_space()
-        raise ParseError(message, self.line, self.col)
-
-    def expect(self, literal: str):
-        self._skip_space()
-        if not self.text.startswith(literal, self.i):
-            self.error(f"expected {literal!r}")
-        self._advance(len(literal))
-
-    def name(self) -> str:
-        self._skip_space()
-        start = self.i
-        if self.i >= len(self.text) or not (self.text[self.i].isalpha() or self.text[self.i] == "_"):
-            self.error("expected an identifier")
-        while self.i < len(self.text) and self.text[self.i] in _TOKEN_CHARS:
-            self._advance()
-        return self.text[start:self.i]
-
-    def at_end(self) -> bool:
-        return self.peek() is None
-
-
-def _varlist(tk: _Tokenizer) -> list[str]:
-    out = [tk.name()]
-    while tk.peek() == ",":
-        tk.expect(",")
-        out.append(tk.name())
-    return out
+# Blanks and comments, then one token: ":-", an identifier, any other character, or "" at the end.
+_TOKEN = re.compile(r"(?:\s|#[^\n]*)*(:-|[A-Za-z_][A-Za-z0-9_]*|.|\Z)", re.S)
 
 
 def parse_query(text: str) -> tuple[JoinQuery, VariableOrder]:
     """Parse query text; the head (or an ORDER clause) defines the order."""
-    tk = _Tokenizer(text)
-    qname = tk.name()
-    tk.expect("(")
-    head = _varlist(tk)
-    tk.expect(")")
-    tk.expect(":-")
-    atoms: list[tuple[str, tuple[str, ...]]] = []
-    while True:
-        sym = tk.name()
-        tk.expect("(")
-        vs = _varlist(tk)
-        tk.expect(")")
-        atoms.append((sym, tuple(vs)))
-        c = tk.peek()
-        if c == ",":
-            tk.expect(",")
-            continue
-        if c == ".":
-            tk.expect(".")
-            break
-        tk.error("expected ',' or '.'")
+    # (token, offset) pairs, last first; tokens[-1] is next, and the end token "" is never taken.
+    tokens = [(m[1], m.start(1)) for m in _TOKEN.finditer(text)][::-1]
 
-    order_vars = tuple(head)
-    if tk.peek() is not None:
-        tk.expect("ORDER")
-        order_vars = tuple(_varlist(tk))
-    if not tk.at_end():
-        tk.error("unexpected trailing input")
+    def error(message: str) -> ParseError:
+        at = tokens[-1][1]
+        return ParseError(message, text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at))
+
+    def accept(literal: str) -> bool:
+        if tokens[-1][0] != literal:
+            return False
+        tokens.pop()
+        return True
+
+    def expect(literal: str) -> None:
+        if not accept(literal):
+            raise error(f"expected {literal!r}")
+
+    def name() -> str:
+        tok = tokens[-1][0]
+        if not (tok.isascii() and tok.isidentifier()):
+            raise error("expected an identifier")
+        return tokens.pop()[0]
+
+    def listed(item) -> tuple:
+        out = [item()]
+        while accept(","):
+            out.append(item())
+        return tuple(out)
+
+    def atom() -> tuple[str, tuple[str, ...]]:
+        sym = name()
+        expect("(")
+        vs = listed(name)
+        expect(")")
+        return sym, vs
+
+    qname, head = atom()
+    expect(":-")
+    atoms = listed(atom)
+    if not accept("."):
+        raise error("expected ',' or '.'")
+
+    order_vars = head
+    if tokens[-1][0]:
+        expect("ORDER")
+        order_vars = listed(name)
+    if tokens[-1][0]:
+        raise error("unexpected trailing input")
 
     try:
-        q = JoinQuery(qname, tuple(atoms), tuple(head))
+        q = JoinQuery(qname, atoms, head)
         order = VariableOrder(order_vars)
         order.check_against(q)
-    except ParseError:
-        raise
     except InputError as exc:
-        raise ParseError(str(exc), tk.line, tk.col) from None
+        raise error(str(exc)) from None
     return q, order
 
 

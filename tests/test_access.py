@@ -46,6 +46,16 @@ def test_access_out_of_bounds():
         ix.access(-1)
 
 
+def test_code_calls_reject_malformed_arguments():
+    ix = cross_index()
+    for j in ("1", 1.0, None):
+        with pytest.raises(InputError, match="answer index must be an integer"):
+            ix.access_codes(j)
+    for codes in ([], [1], [1, 1, 1]):
+        with pytest.raises(InputError, match=f"expected 2 values, got {len(codes)}"):
+            ix.rank_codes(codes)
+
+
 def test_empty_result_count_zero():
     q, order = parse_query("Q(x,y) :- R(x,y), S(y).")
     db = build_database({"R": (["int", "int"], [(1, 2)]), "S": (["int"], [])})

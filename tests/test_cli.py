@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from lexjoin import cli
 from lexjoin.cli import main
+from lexjoin.errors import InternalError
 from tests import src_env
 
 FIVE_TEXT = "Q(x1,x2,x3,x4,x5) :- R1(x1,x5), R2(x2,x4), R3(x3,x4), R4(x3,x5).\n"
@@ -67,6 +69,44 @@ def test_analyze_malformed_query_exit_2(tmp_path, capsys):
     assert "error" in err
 
 
+def test_analyze_text_output(tmp_path, capsys):
+    qfile = tmp_path / "five.jq"
+    qfile.write_text(FIVE_TEXT)
+    code, out, _ = run(capsys, "analyze", qfile)
+    assert code == 0
+    assert out.splitlines() == [
+        "query Q: 5 variables, 4 atoms",
+        "order: x1, x2, x3, x4, x5",
+        "self-join free: True",
+        "acyclic: True",
+        "disruptive trios (2):",
+        "  x1, x3 <- x5",
+        "  x2, x3 <- x4",
+        "bags (own variable last):",
+        "  [0] {x1}  rho*=1  root",
+        "  [1] {x1, x2}  rho*=2  parent 0",
+        "  [2] {x1, x2, x3}  rho*=3  parent 1",
+        "  [3] {x2, x3, x4}  rho*=2  parent 2",
+        "  [4] {x1, x3, x5}  rho*=2  parent 2",
+        "incompatibility number: 3 (bag 2)",
+    ]
+    qfile.write_text("Q(a,b,c) :- R(a,b), S(b,c).\n")
+    code, out, _ = run(capsys, "analyze", qfile)
+    assert code == 0
+    assert "disruptive trios: none" in out.splitlines()
+
+
+def test_analyze_internal_error_exit_4(tmp_path, capsys, monkeypatch):
+    def broken(q, order):
+        raise InternalError("invariant broken")
+
+    monkeypatch.setattr(cli, "decompose", broken)
+    qfile = tmp_path / "q.jq"
+    qfile.write_text("Q(x) :- R(x).\n")
+    code, out, err = run(capsys, "analyze", qfile)
+    assert (code, out, err) == (4, "", "internal error: invariant broken\n")
+
+
 def test_build_access_pipeline(workdir, capsys):
     idx = workdir / "q.idx"
     code, out, _ = run(
@@ -98,6 +138,42 @@ def test_build_access_pipeline(workdir, capsys):
 
     code, out, _ = run(capsys, "test", "-i", idx, "-t", "2,9")
     assert code == 0 and out.strip() == "false"
+
+
+def test_json_format_on_every_command(workdir, capsys):
+    idx = workdir / "q.idx"
+    run(capsys, "build", "-q", workdir / "q.jq", "-m", workdir / "manifest.json", "-o", idx)
+    expected = {
+        ("access", "-j", "2"): {"rows": [[2, 1]]},
+        ("enum", "--from", "1", "--to", "3"): {"rows": [[1, 2], [2, 1]]},
+        ("quantile", "-q", "1"): {"rows": [[2, 2]]},
+        ("count",): {"count": "4"},
+        ("rank", "-t", "2,1"): {"rank": "2"},
+    }
+    for argv, payload in expected.items():
+        code, out, _ = run(capsys, argv[0], "-i", idx, *argv[1:], "--format", "json")
+        assert code == 0 and json.loads(out) == {"schema": 1, **payload}, argv
+    code, out, _ = run(capsys, "sample", "-i", idx, "-n", "4", "--format", "json")
+    assert code == 0 and json.loads(out) == {"schema": 1, "rows": [[1, 1], [1, 2], [2, 1], [2, 2]]}
+    code, out, _ = run(
+        capsys, "oracle", "-q", workdir / "q.jq", "-m", workdir / "manifest.json", "--format", "json"
+    )
+    assert code == 0 and json.loads(out) == {"schema": 1, "rows": [[1, 1], [1, 2], [2, 1], [2, 2]]}
+
+
+def test_rank_and_test_with_string_fields(tmp_path, capsys):
+    (tmp_path / "q.jq").write_text("Q(u,v) :- R(u,v).\n")
+    (tmp_path / "r.csv").write_text("a,1\nb,2\nb,3\n")
+    manifest = {"relations": {"R": {"file": "r.csv", "types": ["string", "int"]}}}
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    idx = tmp_path / "q.idx"
+    run(capsys, "build", "-q", tmp_path / "q.jq", "-m", tmp_path / "manifest.json", "-o", idx)
+    assert run(capsys, "rank", "-i", idx, "-t", "b,3")[:2] == (0, "2\n")
+    assert run(capsys, "test", "-i", idx, "-t", "b,2")[:2] == (0, "true\n")
+    assert run(capsys, "test", "-i", idx, "-t", "c,2")[:2] == (0, "false\n")
+    assert run(capsys, "test", "-i", idx, "-t", "b,two")[:2] == (0, "false\n")
+    code, _, err = run(capsys, "rank", "-i", idx, "-t", "a,2")
+    assert code == 3 and err.startswith("not an answer:")
 
 
 def test_access_out_of_bounds_exit_3(workdir, capsys):
@@ -195,11 +271,11 @@ def _probe_csv_field_over_limit(d):
     return ["build", "-q", d / "q.jq", "-m", d / "manifest.json", "-o", d / "x.idx"]
 
 
-def _probe_tuple_with_newline(command):
+def _probe_on_index(command, *args):
     def probe(d):
         build = ["build", "-q", d / "q.jq", "-m", d / "manifest.json", "-o", d / "x.idx"]
         assert main([str(a) for a in build]) == 0
-        return [command, "-i", d / "x.idx", "-t", "1\n2"]
+        return [command, "-i", d / "x.idx", *args]
 
     return probe
 
@@ -219,8 +295,20 @@ BOUNDARY_PROBES = {
         lambda d: _build_with_manifest(d, {"R": {"file": "R.csv", "types": "int"}}),
         "'types' must be a list",
     ),
-    "rank-tuple-newline": (_probe_tuple_with_newline("rank"), "cannot parse tuple"),
-    "test-tuple-newline": (_probe_tuple_with_newline("test"), "cannot parse tuple"),
+    "rank-tuple-newline": (_probe_on_index("rank", "-t", "1\n2"), "cannot parse tuple"),
+    "test-tuple-newline": (_probe_on_index("test", "-t", "1\n2"), "cannot parse tuple"),
+    "rank-tuple-too-long": (
+        _probe_on_index("rank", "-t", "1,2,3"), "expected 2 comma-separated values, got 3"
+    ),
+    "test-tuple-too-short": (
+        _probe_on_index("test", "-t", "1"), "expected 2 comma-separated values, got 1"
+    ),
+    "quantile-not-a-number": (
+        _probe_on_index("quantile", "-q", "half"), "cannot parse quantile 'half'"
+    ),
+    "quantile-zero-denominator": (
+        _probe_on_index("quantile", "-q", "1/0"), "cannot parse quantile '1/0'"
+    ),
 }
 
 
@@ -239,12 +327,19 @@ def test_count_format_text_exit_2(workdir, capsys):
     assert "invalid choice: 'text'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("family", ["star", "setdisj", "zeroclique", "lw"])
+# Per family, the flags of its own that the determinism test passes.
+GEN_FLAGS = {
+    "star": ["--k", "2", "--per-relation", "12"],
+    "setdisj": ["--k", "2"],
+    "zeroclique": ["--parts", "3", "--part-size", "4", "--planted"],
+    "lw": ["--k", "2", "--per-relation", "12"],
+}
+
+
+@pytest.mark.parametrize("family", list(GEN_FLAGS))
 def test_gen_families_deterministic(tmp_path, capsys, family):
     d1, d2 = tmp_path / "g1", tmp_path / "g2"
-    args = ["gen", family, "--seed", "5", "--k", "2", "--per-relation", "12"]
-    if family == "zeroclique":
-        args += ["--parts", "3", "--part-size", "4", "--planted"]
+    args = ["gen", family, "--seed", "5", *GEN_FLAGS[family]]
     code, _, _ = run(capsys, *args, "-o", d1)
     assert code == 0
     code, _, _ = run(capsys, *args, "-o", d2)
@@ -305,6 +400,25 @@ GEN_BAD_ARGS = {
 }
 
 
+# Per family, a flag that only other families read: (argv after "gen").
+GEN_FOREIGN_FLAGS = {
+    "zeroclique-k": ["zeroclique", "--k", "5"],
+    "star-domain": ["star", "--domain", "3"],
+    "setdisj-per-relation": ["setdisj", "--per-relation", "3"],
+    "lw-planted": ["lw", "--planted"],
+}
+
+
+@pytest.mark.parametrize("case", list(GEN_FOREIGN_FLAGS))
+def test_gen_flag_of_another_family_exit_2(tmp_path, capsys, case):
+    argv = GEN_FOREIGN_FLAGS[case]
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", *argv, "-o", str(tmp_path / "g")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
+
+
 @pytest.mark.parametrize("case", list(GEN_BAD_ARGS))
 def test_gen_unsatisfiable_arguments_exit_2(tmp_path, case):
     # In a subprocess with a timeout, so that a generator that loops forever fails.
@@ -335,7 +449,8 @@ def test_gen_unwritable_output_exit_2(tmp_path, capsys, case):
     family, block, name = GEN_UNWRITABLE[case]
     out = tmp_path / "g"
     block(out)
-    code, _, err = run(capsys, "gen", family, "--k", "2", "--per-relation", "5", "-o", out)
+    flags = ["--k", "2", "--per-relation", "5"] if family == "star" else []
+    code, _, err = run(capsys, "gen", family, *flags, "-o", out)
     assert code == 2
     assert err.startswith("error: cannot write ") and str(out / name) in err
     assert "Traceback" not in err

@@ -71,6 +71,19 @@ def test_roundtrip_random_instances(tmp_path):
         assert resaved.read_bytes() == path.read_bytes()
 
 
+def test_built_and_loaded_tables_hold_keys_in_order(tmp_path):
+    # save_index writes each table's groups in the order held, and the format
+    # stores them in key order: build, prune and load must all keep it.
+    path = tmp_path / "r.idx"
+    for seed in range(200):
+        rng = random.Random(seed)
+        q, order = random_query(rng)
+        ix = build_index(q, order, random_database(rng, q))
+        save_index(ix, path)
+        for table in (*ix.tables, *load_index(path).tables):
+            assert list(table.groups) == sorted(table.groups), seed
+
+
 # SHA-256 over the saved LJDA3 bytes of the indexes of tests/randgen seeds 0..199.
 # Any change to how an index is built or saved that alters a file changes it.
 RANDOM_INDEXES_SHA256 = "3bf1b2c84802004aca4c7bbc9adbaf0f94c00ef47f6d6fd43191ce9849afa01e"

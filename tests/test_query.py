@@ -58,6 +58,23 @@ def test_syntax_error_position():
     assert err.value.line == 2
 
 
+# Text the tokens reject as documented: (text, error).
+TOKEN_RULES = {
+    # ORDER is a whole token: "ORDERy" is one identifier, not ORDER then y.
+    "order-is-a-whole-token": ("Q(x, y) :- R(x, y). ORDERy, x", "1:21: expected 'ORDER'"),
+    # An identifier starts with an ASCII letter or underscore.
+    "identifier-starts-ascii": ("Q(x, é) :- R(x, é).", "1:6: expected an identifier"),
+}
+
+
+@pytest.mark.parametrize("case", list(TOKEN_RULES))
+def test_tokens_follow_the_documented_rules(case):
+    text, message = TOKEN_RULES[case]
+    with pytest.raises(ParseError) as err:
+        parse_query(text)
+    assert str(err.value) == message
+
+
 def test_comments_and_whitespace():
     text = "# header\nQ(x, y) :- R(x, y). # trailing\n# done\n"
     q, _ = parse_query(text)
