@@ -6,16 +6,16 @@ Build phase, driven by the order-induced decomposition, whose bag forest
 
 1. one relation per bag, from the last bag to the first.  A bag inside a
    later bag is that bag's projection, most often onto a leading prefix of
-   its sorted rows, which needs no sort.  Any other bag comes from its
-   optimal fractional edge cover: each positive edge is a view of the first
-   atom meeting the bag in exactly that edge (projected unless in bag
-   order).  One edge is the whole bag, the cheap rho* = 1 case; two or more
-   views go to the generic join, variables in the most views first;
-2. each joined bag is semijoined with the atoms inside it that own none of
-   its edges, so it enforces every atom inside it, and so do its projections;
-3. each bag's sorted rows become a map from interface (all columns except
+   its sorted rows, which needs no sort.  Any other bag takes one view per
+   atom that lies inside it or meets it in a positive edge of its optimal
+   fractional edge cover (projected unless in bag order).  One view is the
+   whole bag, the cheap rho* = 1 case; two or more go to the generic join,
+   variables in the most views first.  An extra atom never raises the
+   join's AGM bound, and the bag enforces every atom inside it, as do its
+   projections;
+2. each bag's sorted rows become a map from interface (all columns except
    the bag's own variable) to sorted candidates;
-4. the full reducer runs on these maps, and its leaves-up half is the
+3. the full reducer runs on these maps, and its leaves-up half is the
    counting pass shared with load (``count_groups``): last bag first, a
    candidate's completion count is the product of its children's group
    totals, looked up by value under each child's interface head; a candidate
@@ -55,7 +55,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import storage
 from .decomposition import Decomposition, decompose
-from .errors import InputError, InternalError, NotAnAnswerError, OutOfBoundsError
+from .errors import InputError, NotAnAnswerError, OutOfBoundsError
 from .query import JoinQuery, VariableOrder
 from .storage import Database
 from .wcoj import SubQuery, _collapse_repeats, generic_join
@@ -360,32 +360,23 @@ def build_index(q: JoinQuery, order: VariableOrder, db: Database) -> AccessIndex
         if j is not None:
             b = storage.project(rels[j], [bags[j].index(v) for v in keep])
         else:
-            # One view per positive cover edge, from the first atom meeting the bag
-            # in exactly that edge; an atom whose whole scope is the edge is its owner.
-            views, owners = [], set()
-            for edge in decomp.bag_cover[i].positive_edges():
-                meets = (a for a, (_, vs) in enumerate(atoms) if bag.intersection(vs) == edge)
-                a = next(meets, None)
-                if a is None:
-                    raise InternalError(f"no atom generates cover edge {sorted(edge)}")
-                rel, vs = atoms[a]
-                edge_keep = tuple(sorted(edge, key=order.position))
-                if vs != edge_keep:
-                    rel = storage.project(rel, [vs.index(v) for v in edge_keep])
-                if len(vs) == len(edge):
-                    owners.add(a)
-                views.append((rel, edge_keep))
-            if len(views) == 1:  # a single edge is the whole bag
+            # One view per atom inside the bag or meeting it in a positive cover edge:
+            # the join enforces every atom inside, and no extra atom raises its bound.
+            edges = decomp.bag_cover[i].positive_edges()
+            views = []
+            for rel, vs in atoms:
+                edge = bag.intersection(vs)
+                if len(edge) == len(vs) or edge in edges:
+                    edge_keep = tuple(sorted(edge, key=order.position))
+                    if vs != edge_keep:
+                        rel = storage.project(rel, [vs.index(v) for v in edge_keep])
+                    views.append((rel, edge_keep))
+            if len(views) == 1:  # a single view is the whole bag
                 b = views[0][0]
             else:  # join the variables in most views first, ties in order
                 by_views = sorted(keep, key=lambda v: -sum(v in vs for _, vs in views))
                 b = generic_join(SubQuery(keep, tuple(views)), None, by_views)
                 multiatom_joins += 1
-            # Owners' rows already bound b; by position, as self-joins share a Relation.
-            col_of = {v: c for c, v in enumerate(keep)}
-            for a, (rel, vs) in enumerate(atoms):
-                if a not in owners and bag.issuperset(vs):
-                    b = storage.semijoin(b, rel, [(col_of[v], c) for c, v in enumerate(vs)])
         rels[i] = b
         # Sorted rows group by interface with their candidates already sorted.
         candidates[i] = {key: list(map(last, rows)) for key, rows in groupby(b.rows, interface)}

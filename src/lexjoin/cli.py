@@ -15,6 +15,7 @@ import json
 import logging
 import os
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -197,7 +198,12 @@ def cmd_sample(args) -> int:
 
 def cmd_quantile(args) -> int:
     ix = index_io.load_index(args.index)
+    # Fraction builds 10**exponent: over 10 s for 1e10000000, growing faster than linearly.
+    exponent = re.search(r"e([-+]?[\d_]+)\s*\Z", args.q, re.I)
+    limit = sys.get_int_max_str_digits()  # 0: no limit
     try:
+        if exponent and limit and abs(int(exponent[1])) > limit:
+            raise ValueError("exponent beyond the int digit limit")
         q = Fraction(args.q)
     except (ValueError, ZeroDivisionError):
         raise InputError(f"cannot parse quantile {args.q!r}") from None
@@ -421,6 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
                 f.add_argument(f"--{flag}", type=int, default=default)
     p.set_defaults(fn=cmd_gen)
 
+    # The innermost subcommand's default wins, so main reports stray arguments with its usage.
+    for p in (*sub.choices.values(), *families.choices.values()):
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -431,8 +440,9 @@ def main(argv=None) -> int:
             print(f"error: LEXJOIN_LOG={level!r} is not a log level name", file=sys.stderr)
             return 2
         logging.basicConfig(level=level.upper(), stream=sys.stderr)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extras = build_parser().parse_known_args(argv)
+    if extras:
+        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.fn(args)
     except OutOfBoundsError as exc:

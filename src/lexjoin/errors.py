@@ -10,7 +10,16 @@ class LexjoinError(Exception):
 
 
 class InputError(LexjoinError):
-    """Malformed user input: files, queries, parameters, unbound symbols."""
+    """Malformed user input: files, queries, parameters, unbound symbols.
+
+    ``at`` names the part at fault when the check knows it, as a path into the
+    checked object: ``("atoms", 1)`` is its second atom and ``("atoms", 1, 0)``
+    that atom's first variable.
+    """
+
+    def __init__(self, *args, at: tuple = ()):
+        super().__init__(*args)
+        self.at = at
 
 
 class ParseError(InputError):

@@ -25,6 +25,13 @@ from .hypergraph import Hypergraph
 from . import hypergraph as hg
 
 
+def _first_repeat(items: tuple[str, ...]) -> int | None:
+    """Index of the first item equal to an earlier one; None when all differ."""
+    if len(set(items)) == len(items):
+        return None
+    return next(i for i, v in enumerate(items) if v in items[:i])
+
+
 @dataclass(frozen=True)
 class JoinQuery:
     """A named join query: atoms over variables, no projection.
@@ -41,24 +48,29 @@ class JoinQuery:
     def __post_init__(self):
         if not self.atoms:
             raise InputError("a join query needs at least one atom")
-        if len(set(self.variables)) != len(self.variables):
-            raise InputError("head lists a variable twice")
+        twice = _first_repeat(self.variables)
+        if twice is not None:
+            raise InputError("head lists a variable twice", at=("variables", twice))
         head = set(self.variables)
         body: set[str] = set()
         arities: dict[str, int] = {}
-        for sym, vs in self.atoms:
+        for a, (sym, vs) in enumerate(self.atoms):
             if not vs:
                 raise InputError(f"atom {sym} has no variables")
             body.update(vs)
-            if sym in arities and arities[sym] != len(vs):
-                raise InputError(f"relation {sym} used with arities {arities[sym]} and {len(vs)}")
-            arities.setdefault(sym, len(vs))
+            if arities.setdefault(sym, len(vs)) != len(vs):
+                raise InputError(
+                    f"relation {sym} used with arities {arities[sym]} and {len(vs)}", at=("atoms", a)
+                )
         extra = body - head
         if extra:
-            raise InputError(f"body variables {sorted(extra)} missing from the head (projection unsupported)")
+            a, k = next((a, vs.index(v)) for a, (_, vs) in enumerate(self.atoms) for v in vs if v in extra)
+            message = f"body variables {sorted(extra)} missing from the head (projection unsupported)"
+            raise InputError(message, at=("atoms", a, k))
         unused = head - body
         if unused:
-            raise InputError(f"head variables {sorted(unused)} appear in no atom")
+            at = ("variables", next(i for i, v in enumerate(self.variables) if v in unused))
+            raise InputError(f"head variables {sorted(unused)} appear in no atom", at=at)
 
     @property
     def symbols(self) -> tuple[str, ...]:
@@ -79,8 +91,9 @@ class VariableOrder:
     variables: tuple[str, ...]
 
     def __post_init__(self):
-        if len(set(self.variables)) != len(self.variables):
-            raise InputError("order lists a variable twice")
+        twice = _first_repeat(self.variables)
+        if twice is not None:
+            raise InputError("order lists a variable twice", at=("variables", twice))
         object.__setattr__(self, "_pos", {v: i for i, v in enumerate(self.variables)})
 
     def position(self, v: str) -> int:
@@ -106,8 +119,9 @@ def parse_query(text: str) -> tuple[JoinQuery, VariableOrder]:
     # (token, offset) pairs, last first; tokens[-1] is next, and the end token "" is never taken.
     tokens = [(m[1], m.start(1)) for m in _TOKEN.finditer(text)][::-1]
 
-    def error(message: str) -> ParseError:
-        at = tokens[-1][1]
+    def error(message: str, at: int | None = None) -> ParseError:
+        if at is None:
+            at = tokens[-1][1]
         return ParseError(message, text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at))
 
     def accept(literal: str) -> bool:
@@ -120,11 +134,11 @@ def parse_query(text: str) -> tuple[JoinQuery, VariableOrder]:
         if not accept(literal):
             raise error(f"expected {literal!r}")
 
-    def name() -> str:
+    def name() -> tuple[str, int]:
         tok = tokens[-1][0]
         if not (tok.isascii() and tok.isidentifier()):
             raise error("expected an identifier")
-        return tokens.pop()[0]
+        return tokens.pop()
 
     def listed(item) -> tuple:
         out = [item()]
@@ -132,32 +146,46 @@ def parse_query(text: str) -> tuple[JoinQuery, VariableOrder]:
             out.append(item())
         return tuple(out)
 
-    def atom() -> tuple[str, tuple[str, ...]]:
+    def atom() -> tuple[tuple[str, int], tuple[tuple[str, int], ...]]:
         sym = name()
         expect("(")
         vs = listed(name)
         expect(")")
         return sym, vs
 
-    qname, head = atom()
+    (qname, _), head = atom()
     expect(":-")
     atoms = listed(atom)
     if not accept("."):
         raise error("expected ',' or '.'")
 
-    order_vars = head
+    order_vars, order_at = head, {}
     if tokens[-1][0]:
+        order_at[()] = tokens[-1][1]
         expect("ORDER")
         order_vars = listed(name)
     if tokens[-1][0]:
         raise error("unexpected trailing input")
 
+    # A failed check names the part at fault (InputError.at); report its token.
+    query_at = {("variables", i): at for i, (_, at) in enumerate(head)}
+    for a, ((_, at), vs) in enumerate(atoms):
+        query_at["atoms", a] = at
+        query_at.update((("atoms", a, k), at) for k, (_, at) in enumerate(vs))
+    order_at.update((("variables", i), at) for i, (_, at) in enumerate(order_vars))
+
+    def names(pairs) -> tuple[str, ...]:
+        return tuple(tok for tok, _ in pairs)
+
     try:
-        q = JoinQuery(qname, atoms, head)
-        order = VariableOrder(order_vars)
+        q = JoinQuery(qname, tuple((sym, names(vs)) for (sym, _), vs in atoms), names(head))
+    except InputError as exc:
+        raise error(str(exc), query_at.get(exc.at)) from None
+    try:
+        order = VariableOrder(names(order_vars))
         order.check_against(q)
     except InputError as exc:
-        raise error(str(exc)) from None
+        raise error(str(exc), order_at.get(exc.at)) from None
     return q, order
 
 

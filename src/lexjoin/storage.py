@@ -21,6 +21,9 @@ any text file is ignored.  Duplicate rows are dropped silently, with no set:
 strictly increasing rows are kept, others sorted once with adjacent duplicates
 dropped, so a leading-prefix projection of sorted rows is never re-sorted.  A
 database is immutable once built.
+
+``semijoin`` is a public operator that the build does not call: each bag's
+join takes every atom inside the bag.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ from math import prod
 
 import pytest
 
-from lexjoin import VariableOrder, access, build_database
+from lexjoin import VariableOrder, access, build_database, storage
 from lexjoin.access import GroupTable, build_index
 from lexjoin.errors import InputError, NotAnAnswerError, OutOfBoundsError
 from lexjoin.index_io import load_index, save_index
@@ -379,8 +379,10 @@ def test_reached_keys_for_prune_and_load(tmp_path, monkeypatch):
     assert materialize_codes(q, order, db) == list(map(ix.access_codes, range(ix.count())))
 
 
-# A bag skips the semijoin only with the atoms that own one of its cover edges,
-# told apart by position: both atoms of a self-join share one Relation.
+# A joined bag takes a view of every atom inside it, as well as of each atom
+# meeting it in a positive cover edge: the two atoms of a self-join share one
+# Relation yet are two views.  Under four orders, such as (a, c, x, b), the
+# last case's bag {a, c, x} has the cover edge {a, x}, which only R spans.
 SEMIJOIN_CASES = {
     "self-join": (
         "Q(x,y) :- R(x,y), R(y,x).",
@@ -397,6 +399,13 @@ SEMIJOIN_CASES = {
         "Q(x,y) :- R(x,y), S(x,y).",
         {"R": [(1, 1), (1, 2), (2, 1), (3, 3)], "S": [(1, 2), (2, 1), (2, 2), (3, 1)]},
     ),
+    "partial-atom-covers": (
+        "Q(a,b,c,x) :- R(a,b,x), S(x,c).",
+        {
+            "R": [(1, 1, 1), (1, 2, 2), (2, 1, 1), (2, 2, 3), (3, 3, 2)],
+            "S": [(1, 1), (1, 2), (2, 3), (4, 1)],
+        },
+    ),
 }
 
 
@@ -411,6 +420,23 @@ def test_semijoin_rule_matches_oracle(case):
         expected = materialize_codes(q, order, db)
         assert expected, (case, variables)
         assert [ix.access_codes(j) for j in range(ix.count())] == expected, (case, variables)
+        if variables == q.variables:  # the one maximal bag joins both atoms
+            assert ix.stats["multiatom_joins"] == 1, case
+
+
+def test_randgen_builds_call_no_semijoin(monkeypatch):
+    calls = []
+    real = storage.semijoin
+    monkeypatch.setattr(storage, "semijoin", lambda *args: calls.append(args) or real(*args))
+    for seed in range(400):
+        rng = random.Random(seed)
+        q, order = random_query(rng)
+        db = random_database(rng, q)
+        ix = build_index(q, order, db)
+        if seed % 20 == 0:
+            expected = materialize_codes(q, order, db)
+            assert [ix.access_codes(j) for j in range(ix.count())] == expected, seed
+    assert calls == []
 
 
 # A bag inside a later bag is built as that bag's projection.  In the third

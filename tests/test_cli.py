@@ -309,6 +309,9 @@ BOUNDARY_PROBES = {
     "quantile-zero-denominator": (
         _probe_on_index("quantile", "-q", "1/0"), "cannot parse quantile '1/0'"
     ),
+    "quantile-exponent-over-digit-limit": (
+        _probe_on_index("quantile", "-q", "1e10000000"), "cannot parse quantile '1e10000000'"
+    ),
 }
 
 
@@ -417,6 +420,24 @@ def test_gen_flag_of_another_family_exit_2(tmp_path, capsys, case):
     assert exc.value.code == 2
     assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
     assert not (tmp_path / "g").exists()
+
+
+# Stray arguments, reported with the usage of the chosen subcommand: (argv, usage line start).
+STRAY_ARGUMENTS = {
+    "gen-family": (["gen", "zeroclique", "--k", "5", "-o", "d"], "usage: lexjoin gen zeroclique "),
+    "count": (["count", "-i", "x", "--bogus"], "usage: lexjoin count "),
+}
+
+
+@pytest.mark.parametrize("case", list(STRAY_ARGUMENTS))
+def test_stray_arguments_name_the_subcommand_usage(tmp_path, monkeypatch, capsys, case):
+    argv, usage = STRAY_ARGUMENTS[case]
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(usage)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("case", list(GEN_BAD_ARGS))

@@ -75,6 +75,31 @@ def test_tokens_follow_the_documented_rules(case):
     assert str(err.value) == message
 
 
+# A query or order that parses but fails a check: (text, error at the token at fault).
+SEMANTIC_ERRORS = {
+    "head-repeats-variable": ("Q(x,x) :- R(x).", "1:5: head lists a variable twice"),
+    "projection": (
+        "Q(x) :- R(x,y).\n\n# comment\n",
+        "1:13: body variables ['y'] missing from the head (projection unsupported)",
+    ),
+    "arity-conflict": ("Q(a,b,c) :- R(a,b), R(c).", "1:21: relation R used with arities 2 and 1"),
+    "unused-head-variable": ("Q(x,y) :- R(x).", "1:5: head variables ['y'] appear in no atom"),
+    "order-repeats-variable": ("Q(x,y) :- R(x,y). ORDER y, y", "1:28: order lists a variable twice"),
+    "order-not-a-permutation": (
+        "Q(x,y) :- R(x,y). ORDER x",
+        "1:19: order is not a permutation of the query variables",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SEMANTIC_ERRORS))
+def test_semantic_errors_point_at_the_token_at_fault(case):
+    text, message = SEMANTIC_ERRORS[case]
+    with pytest.raises(ParseError) as err:
+        parse_query(text)
+    assert str(err.value) == message
+
+
 def test_comments_and_whitespace():
     text = "# header\nQ(x, y) :- R(x, y). # trailing\n# done\n"
     q, _ = parse_query(text)
