@@ -440,9 +440,14 @@ def main(argv=None) -> int:
             print(f"error: LEXJOIN_LOG={level!r} is not a log level name", file=sys.stderr)
             return 2
         logging.basicConfig(level=level.upper(), stream=sys.stderr)
-    args, extras = build_parser().parse_known_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args, extras = parser.parse_known_args(argv)
     if extras:
-        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        # The root takes no argument of its own: a token before the
+        # subcommand is stray at the root, any other one in the subcommand.
+        blamed = parser if argv.index(args.command) > 0 else args.parser
+        blamed.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.fn(args)
     except OutOfBoundsError as exc:

@@ -41,49 +41,38 @@ class FractionalCover:
         return [e for e, w in self.weights.items() if w > 0]
 
 
+def _caps(n: int) -> list[tuple[list[Fraction], Fraction]]:
+    """The rows ``x_j <= 1``, one per variable."""
+    return [([Fraction(i == j) for i in range(n)], Fraction(1)) for j in range(n)]
+
+
 def fractional_edge_cover(h: Hypergraph) -> FractionalCover:
     """Optimal fractional edge cover of ``h``, solved exactly.
 
-    Minimizes the total edge weight subject to: each vertex is covered with
-    weight at least one, each edge carries weight at most one.  A vertex in
-    no edge makes the program infeasible and is reported as an input error.
+    Minimizes the total edge weight x subject to: each vertex is covered with
+    weight at least one, each edge carries weight at most one.  Solved as the
+    packing program in u = 1 - x: maximize the sum of u subject to, per
+    vertex v, the u of its edges summing to at most deg(v) - 1, and u <= 1.
+    The all-ones cover (u = 0) is feasible once every vertex is in an edge,
+    so the simplex starts there.  A vertex in no edge is an input error.
     """
     edges = list(h.edges)
-    n = len(edges)
-    constraints: list[tuple[list[Fraction], str, Fraction]] = []
-    for v in h.vertices:
-        row = [Fraction(1 if v in e else 0) for e in edges]
-        constraints.append((row, ">=", Fraction(1)))
-    for j in range(n):
-        row = [Fraction(0)] * n
-        row[j] = Fraction(1)
-        constraints.append((row, "<=", Fraction(1)))
-    try:
-        value, x = simplex.solve_min([Fraction(1)] * n, constraints)
-    except simplex.Infeasible:
-        uncovered = [v for v in h.vertices if not any(v in e for e in edges)]
-        raise InputError(f"vertices {uncovered} are in no edge; no cover exists") from None
-    weights = {e: x[j] for j, e in enumerate(edges)}
-    return FractionalCover(weights, value)
+    uncovered = [v for v in h.vertices if not any(v in e for e in edges)]
+    if uncovered:
+        raise InputError(f"vertices {uncovered} are in no edge; no cover exists")
+    incidence = [[Fraction(v in e) for e in edges] for v in h.vertices]
+    constraints = [(row, sum(row) - 1) for row in incidence] + _caps(len(edges))
+    saved, u = simplex.solve_max([Fraction(1)] * len(edges), constraints)
+    weights = {e: 1 - u[j] for j, e in enumerate(edges)}
+    return FractionalCover(weights, len(edges) - saved)
 
 
 def fractional_independent_set(h: Hypergraph) -> tuple[Fraction, dict[str, Fraction]]:
     """Optimal fractional independent set; by LP duality equals the cover total."""
     verts = list(h.vertices)
-    n = len(verts)
-    pos = {v: i for i, v in enumerate(verts)}
-    constraints: list[tuple[list[Fraction], str, Fraction]] = []
-    for e in h.edges:
-        row = [Fraction(0)] * n
-        for v in e:
-            row[pos[v]] = Fraction(1)
-        constraints.append((row, "<=", Fraction(1)))
-    for j in range(n):
-        row = [Fraction(0)] * n
-        row[j] = Fraction(1)
-        constraints.append((row, "<=", Fraction(1)))
-    value, x = simplex.solve_max([Fraction(1)] * n, constraints)
-    return value, {v: x[pos[v]] for v in verts}
+    constraints = [([Fraction(v in e) for v in verts], Fraction(1)) for e in h.edges]
+    value, y = simplex.solve_max([Fraction(1)] * len(verts), constraints + _caps(len(verts)))
+    return value, dict(zip(verts, y))
 
 
 def disruption_free_iterative(q: JoinQuery, order: VariableOrder) -> list[frozenset[str]]:

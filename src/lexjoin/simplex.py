@@ -1,11 +1,14 @@
-"""Exact two-phase simplex over rationals for small dense programs.
+"""Exact simplex over rationals for small dense packing programs.
 
 The linear programs solved here (fractional edge covers and independent
 sets) have at most a few dozen variables, so a dense tableau with
 ``fractions.Fraction`` entries is fast enough and, unlike floating point,
-gives exactly the optimal value.  Bland's rule (always pick the lowest
-eligible index) prevents cycling on degenerate tableaus, and makes the
-returned optimal vertex deterministic.
+gives exactly the optimal value.  Each program is a packing program: ``<=``
+rows with nonnegative right-hand sides, so the origin is a feasible vertex
+and the simplex starts from the slack basis, with no search for a first
+vertex.  Bland's rule (always pick the lowest eligible index) prevents
+cycling on degenerate tableaus, and makes the returned optimal vertex
+deterministic.
 """
 
 from __future__ import annotations
@@ -18,136 +21,55 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-class Infeasible(Exception):
-    """Raised when the constraint system has no feasible point."""
-
-
 class Unbounded(Exception):
     """Raised when the objective is unbounded over the feasible region."""
 
 
-def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    piv = tableau[row][col]
-    inv = ONE / piv
-    tableau[row] = [x * inv for x in tableau[row]]
-    for r, line in enumerate(tableau):
-        if r != row and line[col] != 0:
-            factor = line[col]
-            prow = tableau[row]
-            tableau[r] = [a - factor * b for a, b in zip(line, prow)]
-    basis[row] = col
-
-
-def _run_simplex(tableau: list[list[Fraction]], basis: list[int], ncols: int) -> None:
-    # Minimization: last row holds reduced costs, last column the rhs.
-    # Entering: lowest column index with negative reduced cost (Bland).
-    # Leaving: lowest basis index among the minimum-ratio rows (Bland).
-    m = len(tableau) - 1
-    while True:
-        obj = tableau[m]
-        col = next((j for j in range(ncols) if obj[j] < 0), None)
-        if col is None:
-            return
-        best = None
-        for r in range(m):
-            a = tableau[r][col]
-            if a > 0:
-                ratio = tableau[r][-1] / a
-                if best is None or ratio < best[0] or (ratio == best[0] and basis[r] < basis[best[1]]):
-                    best = (ratio, r)
-        if best is None:
-            raise Unbounded
-        _pivot(tableau, basis, best[1], col)
-
-
 def solve_min(
     costs: list[Fraction],
-    constraints: list[tuple[list[Fraction], str, Fraction]],
+    constraints: list[tuple[list[Fraction], Fraction]],
 ) -> tuple[Fraction, list[Fraction]]:
-    """Minimize ``costs . x`` subject to ``row . x (<=|>=|==) rhs`` and x >= 0.
+    """Minimize ``costs . x`` subject to ``coeffs . x <= rhs`` and x >= 0.
 
-    Returns the exact optimal value and one optimal basic solution.  Raises
-    :class:`Infeasible` / :class:`Unbounded` accordingly.
+    ``constraints`` holds ``(coeffs, rhs)`` pairs, each with ``rhs >= 0`` so
+    that x = 0 is feasible.  Returns the exact optimal value and one optimal
+    basic solution.  Raises :class:`Unbounded` when the objective is
+    unbounded below.
     """
     n = len(costs)
-    rows = []
-    senses = []
-    for coeffs, sense, rhs in constraints:
+    m = len(constraints)
+    # One row per constraint, then the reduced costs; the last column is the
+    # rhs.  Column n + r is row r's slack, basic at the start.
+    tableau: list[list[Fraction]] = []
+    for r, (coeffs, rhs) in enumerate(constraints):
         if len(coeffs) != n:
             raise InternalError("constraint width mismatch")
-        if sense not in ("<=", ">=", "=="):
-            raise InternalError(f"bad constraint sense {sense!r}")
-        coeffs = [Fraction(c) for c in coeffs]
-        rhs = Fraction(rhs)
-        if rhs < 0:  # keep rhs nonnegative so phase 1 stays simple
-            coeffs = [-c for c in coeffs]
-            rhs = -rhs
-            sense = {"<=": ">=", ">=": "<=", "==": "=="}[sense]
-        rows.append((coeffs, rhs))
-        senses.append(sense)
-
-    m = len(rows)
-    nslack = sum(1 for s in senses if s != "==")
-    nart = sum(1 for s in senses if s != "<=")
-    width = n + nslack + nart + 1
-    tableau: list[list[Fraction]] = []
-    basis: list[int] = []
-    s_at = n
-    a_at = n + nslack
-    for (coeffs, rhs), sense in zip(rows, senses):
-        line = [ZERO] * width
-        line[:n] = coeffs
-        line[-1] = rhs
-        if sense == "<=":
-            line[s_at] = ONE
-            basis.append(s_at)
-            s_at += 1
-        elif sense == ">=":
-            line[s_at] = -ONE
-            s_at += 1
-            line[a_at] = ONE
-            basis.append(a_at)
-            a_at += 1
-        else:
-            line[a_at] = ONE
-            basis.append(a_at)
-            a_at += 1
+        if rhs < 0:
+            raise InternalError(f"constraint {r} has negative rhs {rhs}; x = 0 must be feasible")
+        line = [Fraction(c) for c in coeffs] + [ZERO] * m + [Fraction(rhs)]
+        line[n + r] = ONE
         tableau.append(line)
+    tableau.append([Fraction(c) for c in costs] + [ZERO] * (m + 1))
+    basis = list(range(n, n + m))
 
-    total_cols = width - 1
-    art_start = n + nslack
-
-    if nart:
-        phase1 = [ZERO] * width
-        for j in range(art_start, total_cols):
-            phase1[j] = ONE
-        tableau.append(phase1)
-        # Price out the artificial basics so reduced costs start consistent.
-        for r, b in enumerate(basis):
-            if b >= art_start:
-                tableau[m] = [a - b2 for a, b2 in zip(tableau[m], tableau[r])]
-        _run_simplex(tableau, basis, total_cols)
-        if tableau[m][-1] != 0:
-            raise Infeasible
-        # Drive any artificial still in the basis out on a degenerate pivot.
-        for r in range(m):
-            if basis[r] >= art_start:
-                col = next((j for j in range(art_start) if tableau[r][j] != 0), None)
-                if col is not None:
-                    _pivot(tableau, basis, r, col)
-                # A fully zero row is a redundant constraint; harmless.
-        tableau.pop()
-
-    obj = [ZERO] * width
-    obj[:n] = [Fraction(c) for c in costs]
-    tableau.append(obj)
-    for r, b in enumerate(basis):
-        if b < n + nslack and tableau[m][b] != 0:
-            factor = tableau[m][b]
-            tableau[m] = [a - factor * b2 for a, b2 in zip(tableau[m], tableau[r])]
-    # Forbid re-entering artificial columns in phase 2.
-    limit = n + nslack
-    _run_simplex(tableau, basis, limit)
+    # Entering: the lowest column with negative reduced cost.  Leaving: the
+    # minimum-ratio row whose basic column is lowest.  Both are Bland's rule.
+    while True:
+        obj = tableau[m]
+        col = next((j for j in range(n + m) if obj[j] < 0), None)
+        if col is None:
+            break
+        ratios = [(t[-1] / t[col], basis[r], r) for r, t in enumerate(tableau[:m]) if t[col] > 0]
+        if not ratios:
+            raise Unbounded
+        row = min(ratios)[2]
+        inv = ONE / tableau[row][col]
+        prow = tableau[row] = [a * inv for a in tableau[row]]
+        for r, line in enumerate(tableau):
+            factor = line[col]
+            if r != row and factor != 0:
+                tableau[r] = [a - factor * b for a, b in zip(line, prow)]
+        basis[row] = col
 
     x = [ZERO] * n
     for r, b in enumerate(basis):
@@ -159,7 +81,7 @@ def solve_min(
 
 def solve_max(
     gains: list[Fraction],
-    constraints: list[tuple[list[Fraction], str, Fraction]],
+    constraints: list[tuple[list[Fraction], Fraction]],
 ) -> tuple[Fraction, list[Fraction]]:
     """Maximize ``gains . x`` under the same constraint conventions."""
     value, x = solve_min([-Fraction(g) for g in gains], constraints)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 import subprocess
@@ -426,6 +427,8 @@ def test_gen_flag_of_another_family_exit_2(tmp_path, capsys, case):
 STRAY_ARGUMENTS = {
     "gen-family": (["gen", "zeroclique", "--k", "5", "-o", "d"], "usage: lexjoin gen zeroclique "),
     "count": (["count", "-i", "x", "--bogus"], "usage: lexjoin count "),
+    # Before the subcommand, a stray argument belongs to the root command.
+    "root": (["--bogus", "count", "-i", "x"], "usage: lexjoin [-h]"),
 }
 
 
@@ -514,3 +517,37 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "analyze" in proc.stdout
+
+
+TIED_COVERS_TEXT = (
+    "Q(a,b,c,d,e) :- R(a,b), S(b,c), T(c,d), U(d,a), V(a,c,e).\nORDER b, d, a, c, e\n"
+)
+
+
+def test_analyze_and_build_agree_across_hash_seeds(tmp_path):
+    # Bag {b, d, a, c} has two optimal covers ({b,c}+{d,a} and {a,b}+{c,d});
+    # the one reported, and the bytes saved, must not depend on hashing.
+    (tmp_path / "q.jq").write_text(TIED_COVERS_TEXT)
+    relations = {}
+    for name, arity in (("R", 2), ("S", 2), ("T", 2), ("U", 2), ("V", 3)):
+        rows = [r for r in itertools.product(range(3), repeat=arity) if sum(r) % 3 != 1]
+        (tmp_path / f"{name}.csv").write_text("".join(",".join(map(str, r)) + "\n" for r in rows))
+        relations[name] = {"file": f"{name}.csv", "types": ["int"] * arity}
+    (tmp_path / "manifest.json").write_text(json.dumps({"relations": relations}))
+    outputs = set()
+    for seed in range(4):
+        env = dict(src_env(), PYTHONHASHSEED=str(seed))
+        lexjoin = [sys.executable, "-m", "lexjoin"]
+        analyze = subprocess.run(
+            lexjoin + ["analyze", "q.jq", "--format", "json"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert analyze.returncode == 0, analyze.stderr
+        build = subprocess.run(
+            lexjoin + ["build", "-q", "q.jq", "-m", "manifest.json", "-o", f"q{seed}.idx"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert build.returncode == 0, build.stderr
+        assert json.loads(build.stdout)["count"] != "0"
+        outputs.add((analyze.stdout, (tmp_path / f"q{seed}.idx").read_bytes()))
+    assert len(outputs) == 1

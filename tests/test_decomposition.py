@@ -123,6 +123,30 @@ def test_duality_on_random_hypergraphs():
         assert fractional_edge_cover(h).total == fractional_independent_set(h)[0]
 
 
+def test_cover_and_independent_set_certify_each_other():
+    # A feasible cover and a feasible independent set with equal totals are
+    # both optimal, by weak duality.
+    rng = random.Random(4)
+    for _ in range(80):
+        h = random_hypergraph(rng, 7, 7)
+        cover = fractional_edge_cover(h)
+        total, y = fractional_independent_set(h)
+        assert all(w >= 0 for w in cover.weights.values())
+        for v in h.vertices:
+            assert sum((w for e, w in cover.weights.items() if v in e), start=F(0)) >= 1
+        assert all(yv >= 0 for yv in y.values())
+        for e in h.edges:
+            assert sum((y[v] for v in e), start=F(0)) <= 1
+        assert cover.total == total
+        assert cover.total == sum(cover.weights.values())
+        assert total == sum(y.values())
+
+
+def test_independent_set_counts_a_vertex_in_no_edge():
+    # Its own cap row bounds it: y_b = 1.
+    assert fractional_independent_set(Hypergraph.build([["a"]], vertices=("a", "b")))[0] == 2
+
+
 def test_incompatibility_golden():
     q, order = five()
     iota, witness = incompatibility_number(q, order)
