@@ -16,11 +16,12 @@ Build phase, driven by the order-induced decomposition, whose bag forest
 2. each bag's sorted rows become a map from interface (all columns except
    the bag's own variable) to sorted candidates;
 3. the full reducer runs on these maps, and its leaves-up half is the
-   counting pass shared with load (``count_groups``): last bag first, a
+   counting loop shared with load (``count_groups``): last bag first, a
    candidate's completion count is the product of its children's group
-   totals, looked up by value under each child's interface head; a candidate
-   with no group in a child bag is dropped, and so is a group left empty;
-   each group keeps prefix sums of its counts.  Roots down, a child group
+   totals, which build looks up by value under each child's interface head
+   and load reads by position; a candidate with no group in a child bag is
+   dropped, and so is a group left empty; each group keeps prefix sums of
+   its counts, and each bag its rows.  Roots down, a child group
    stays when some parent candidate reaches it (``reached``, the rule load
    derives every child key by), which changes no count; a child bag is
    filtered only when it has more groups than ``reached`` names.  Every
@@ -48,6 +49,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, compress, groupby, repeat
 from math import floor, prod
 from operator import itemgetter, mul
@@ -66,7 +68,8 @@ class GroupTable:
     """Per-interface sorted candidates with inclusive prefix sums of weights.
 
     ``groups`` holds its keys in increasing order, which is the order
-    ``index_io.save_index`` writes them in.
+    ``index_io.save_index`` writes them in.  No list in it is changed once
+    counted, so a leaf bag's groups of one size share one prefix list.
     """
 
     groups: dict[tuple[int, ...], tuple[list[int], list[int]]]
@@ -205,16 +208,19 @@ class AccessIndex:
     # order-sensitive conveniences built on access
 
     def enumerate_range(self, start: int, stop: int) -> Iterator[tuple]:
-        """Stream access(j) for j in [start, stop)."""
+        """Stream access(j) for j in [start, stop); the bounds are checked at the call."""
+        if not (isinstance(start, int) and isinstance(stop, int)):
+            raise InputError("range bounds must be integers")
         if not (0 <= start <= stop <= self.total_count):
             raise InputError(
                 f"range [{start}, {stop}) out of bounds for {self.total_count} answers"
             )
-        for j in range(start, stop):
-            yield self.access(j)
+        return map(self.access, range(start, stop))
 
     def sample_without_replacement(self, n: int, seed) -> list[tuple]:
         """n distinct answers, uniform over n-subsets (Floyd), sorted by index."""
+        if not isinstance(n, int):
+            raise InputError("sample size must be an integer")
         if n < 0 or n > self.total_count:
             raise InputError(f"cannot sample {n} of {self.total_count} answers")
         rng = random.Random(seed)
@@ -226,7 +232,10 @@ class AccessIndex:
 
     def quantile(self, q) -> tuple:
         """The answer at index floor(q * (count - 1)) for rational q in [0, 1]."""
-        q = Fraction(q)
+        try:
+            q = Fraction(q)
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+            raise InputError(f"quantile argument {q!r} is not a rational number") from None
         if q < 0 or q > 1:
             raise InputError("quantile argument must be in [0, 1]")
         if self.total_count == 0:
@@ -247,57 +256,117 @@ class AccessIndex:
 
 
 def count_groups(
-    decomp: Decomposition, candidates: Sequence[dict[tuple[int, ...], list[int]]]
-) -> tuple[tuple[GroupTable, ...], int]:
-    """The full reducer's leaves-up half: group tables with prefix sums, and the answer count.
+    decomp: Decomposition,
+    candidates: Sequence[dict[tuple[int, ...], list[int]]],
+    positions: Sequence[list[slice | range] | None] | None,
+) -> tuple[tuple[GroupTable, ...], int, list[int]]:
+    """The full reducer's leaves-up half: group tables with prefix sums, the answer count and bag rows.
 
-    ``candidates[i]`` maps each interface key of bag i to its sorted, non-empty
-    candidates.  A candidate's weight is the product of its children's group
-    totals; one with no group in some child bag has none and is dropped, and
-    so is a group left empty.
+    ``candidates[i]`` maps each interface key of bag i, in key order, to its
+    sorted, non-empty candidates.  A candidate's weight is the product of
+    its child group totals; one with no group in some child bag weighs 0 and
+    is dropped, and so is a group left empty.
+
+    Only how a link hands a group its child totals differs.  Build passes
+    ``positions=None`` and looks them up by key.  Load passes, for the link
+    into child bag c, ``positions[c]``: per parent group in key order, a
+    ``slice`` of the child's totals when that group alone names its head, or
+    the ``range`` of child positions under a shared head, mapped by value.
+    Load drops nothing, so no position moves.
     """
     n = len(decomp.bags)
     tables: list[GroupTable | None] = [None] * n
+    totals: list[list[int] | None] = [None] * n  # per bag, its group totals in key order
+    rows = [0] * n
     for i in range(n - 1, -1, -1):
-        kids = []  # per child: its interface columns, and its group totals by head, then value
-        for c, cols in decomp.links[i]:
-            by_head: dict[tuple[int, ...], dict[int, int]] = {}
-            for key, (_, prefix) in tables[c].groups.items():
-                by_head.setdefault(key[:-1], {})[key[-1]] = prefix[-1]
-            kids.append((cols, by_head))
-        groups: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
-        for key, values in candidates[i].items():
-            weights = None if kids else [1] * len(values)  # a leaf's candidates weigh 1
-            for cols, by_head in kids:
-                w = map(by_head.get(tuple(key[k] for k in cols), {}).get, values, repeat(0))
-                weights = list(w if weights is None else map(mul, weights, w))
-            if 0 in weights:  # a candidate with no group in some child bag is dropped
-                values = list(compress(values, weights))
-                weights = list(filter(None, weights))
-            if values:
-                groups[key] = (values, list(accumulate(weights)))
+        bag = candidates[i]
+        kids = [
+            _weights_by_key(bag, cols, tables[c], totals[c])
+            if positions is None
+            else _weights_by_position(bag, positions[c], tables[c], totals[c])
+            for c, cols in decomp.links[i]
+        ]
+        if not kids:  # a leaf's candidates weigh 1: group totals are sizes, one prefix list per size
+            sizes = [*map(len, bag.values())]
+            ones: dict[int, list[int]] = {}
+            groups = {
+                key: (values, ones.get(k) or ones.setdefault(k, [*range(1, k + 1)]))
+                for (key, values), k in zip(bag.items(), sizes)
+            }
+            totals[i], rows[i] = sizes, sum(sizes)
+        else:
+            weighed = kids[0] if len(kids) == 1 else (reduce(_times, ws) for ws in zip(*kids))
+            groups, bag_totals, kept = {}, [], 0
+            for (key, values), weights in zip(bag.items(), weighed):
+                if 0 in weights:  # a candidate with no group in some child bag is dropped
+                    values = list(compress(values, weights))
+                    weights = list(filter(None, weights))
+                if values:
+                    prefix = list(accumulate(weights))
+                    groups[key] = (values, prefix)
+                    bag_totals.append(prefix[-1])
+                    kept += len(values)
+            totals[i], rows[i] = bag_totals, kept
         tables[i] = GroupTable(groups)
+        for c, _ in decomp.links[i]:
+            totals[c] = None
     total = prod(tables[i].total(()) for i in decomp.roots)
-    return tuple(tables), total
+    return tuple(tables), total, rows
+
+
+def _times(a: list[int], b: list[int]) -> list[int]:
+    return list(map(mul, a, b))
+
+
+def _weights_by_key(
+    parent: dict[tuple[int, ...], list[int]], cols: Sequence[int], child: GroupTable, totals: list[int]
+) -> Iterator[list[int]]:
+    """Per parent group, its candidates' child totals, looked up by head and then by value."""
+    by_head: dict[tuple[int, ...], dict[int, int]] = {}
+    for key, total in zip(child.groups, totals):
+        by_head.setdefault(key[:-1], {})[key[-1]] = total
+    for key, values in parent.items():
+        yield list(map(by_head.get(tuple(key[k] for k in cols), {}).get, values, repeat(0)))
+
+
+def _weights_by_position(
+    parent: dict[tuple[int, ...], list[int]], spans: list[slice | range], child: GroupTable, totals: list[int]
+) -> Iterator[list[int]]:
+    """Per parent group, its candidates' child totals, read at the positions its span names."""
+    keys = by_value = None  # the child's keys and each shared head's totals by value, when needed
+    for span, values in zip(spans, parent.values()):
+        if type(span) is slice:
+            yield totals[span]
+            continue
+        if keys is None:
+            keys, by_value = list(child.groups), {}
+        weight = by_value.get(span)
+        if weight is None:
+            at = slice(span.start, span.stop)
+            weight = by_value[span] = dict(zip(map(itemgetter(-1), keys[at]), totals[at])).__getitem__
+        yield list(map(weight, values))
 
 
 def reached(
     groups: Iterable[tuple[tuple[int, ...], list[int]]], cols: Sequence[int]
-) -> dict[tuple[int, ...], list[int]]:
+) -> dict[tuple[int, ...], tuple[list[int], list[int]]]:
     """The full reducer's roots-down rule: the child keys that a parent's groups name.
 
     ``groups`` are the parent's (key, sorted candidates) pairs and ``cols`` a
     link's columns; child key (head, v) is reached when some parent key has
     ``head`` at ``cols`` and ``v`` among its candidates.  Returns, per head in
-    first-seen order, the sorted distinct candidates; a head named by one
-    parent key gets that key's list itself.
+    first-seen order, the sorted distinct candidates and the indices of the
+    groups that name it; a head named by one group gets that group's list
+    itself.
     """
-    heads: dict[tuple[int, ...], list[list[int]]] = {}
-    for key, values in groups:
-        heads.setdefault(tuple(key[k] for k in cols), []).append(values)
+    heads: dict[tuple[int, ...], list[int]] = {}
+    lists = []
+    for g, (key, values) in enumerate(groups):
+        heads.setdefault(tuple(map(key.__getitem__, cols)), []).append(g)
+        lists.append(values)
     return {
-        head: lists[0] if len(lists) == 1 else sorted(set().union(*lists))
-        for head, lists in heads.items()
+        head: (lists[by[0]] if len(by) == 1 else sorted(set().union(*map(lists.__getitem__, by))), by)
+        for head, by in heads.items()
     }
 
 
@@ -314,8 +383,8 @@ def prune_unreached(decomp: Decomposition, tables: Sequence[GroupTable]) -> list
         for c, cols in links:
             heads = reached(((key, values) for key, (values, _) in tables[i].groups.items()), cols)
             child = tables[c].groups
-            if sum(map(len, heads.values())) < len(child):
-                keep = {(*head, v) for head, values in heads.items() for v in values}
+            if sum(len(values) for values, _ in heads.values()) < len(child):
+                keep = {(*head, v) for head, (values, _) in heads.items() for v in values}
                 tables[c].groups = {k: e for k, e in child.items() if k in keep}
                 pruned.append(c)
     return pruned
@@ -383,8 +452,9 @@ def build_index(q: JoinQuery, order: VariableOrder, db: Database) -> AccessIndex
     del rels
 
     # Leaves up with the counts, then roots down: an unreached group changes no count.
-    tables, total = count_groups(decomp, candidates)
-    prune_unreached(decomp, tables)
+    tables, total, rows = count_groups(decomp, candidates, None)
+    for c in prune_unreached(decomp, tables):
+        rows[c] = tables[c].rows()
 
     return AccessIndex(
         decomp=decomp,
@@ -394,7 +464,7 @@ def build_index(q: JoinQuery, order: VariableOrder, db: Database) -> AccessIndex
         total_count=total,
         stats={
             "multiatom_joins": multiatom_joins,
-            "bag_rows": [table.rows() for table in tables],
+            "bag_rows": rows,
             "iota": str(decomp.iota),
         },
     )

@@ -2,8 +2,9 @@
 
 Only each group's sorted candidates are stored.  The bag forest comes from
 ``decompose`` on the stored query, solving no LP, and implies every group key
-(below); load recomputes the prefix sums and the answer count with the
-build's own counting pass (``access.count_groups``).
+(below); load recomputes the prefix sums, the answer count and the bag rows
+in the build's own counting loop (``access.count_groups``), reading each
+group's child totals by position rather than by key.
 
 Layout, in stream order (all integers LEB128 unsigned varints unless noted):
 
@@ -38,6 +39,15 @@ the format can still get wrong: an empty group, a zero gap, a candidate
 outside its pool, a root with more than one group, truncation and trailing
 bytes.
 
+Counting by position: as load lists a child's keys it notes, per parent
+group, where that group's child groups sit in the child's key order.  A
+head that one parent group names covers a contiguous run of child groups in
+that group's candidate order, so the group's child totals are one slice.  A
+head that several parent groups share covers the run of its sorted union;
+each of those groups maps its candidates to totals through that run, by
+value.  Since load drops nothing, every position holds through the count,
+which makes no key lookup.
+
 A stream of values below 0x80 is its own bytes: save writes it with one
 ``bytes`` call, and load takes it as one slice when its next n bytes are all
 below 0x80 (a larger value would set a high bit there).  First candidates
@@ -50,7 +60,7 @@ from __future__ import annotations
 import io
 import zlib
 from itertools import accumulate, chain
-from operator import sub
+from operator import itemgetter, sub
 from pathlib import Path
 
 from .access import AccessIndex, count_groups, reached
@@ -230,6 +240,7 @@ def _decode(blob: bytes) -> AccessIndex:
 
     decomp = decompose(q, order)
     keys: list[list[tuple[int, ...]] | None] = [None] * len(decomp.bags)  # set parents first
+    positions: list[list[slice | range] | None] = [None] * len(decomp.bags)
     candidates = []
     for i, bag in enumerate(decomp.bags):
         if decomp.parent[i] is None:
@@ -250,23 +261,28 @@ def _decode(blob: bytes) -> AccessIndex:
             groups[key] = list(accumulate(gaps[start:stop], initial=first)) if size > 1 else [first]
             start = stop
         pool = dictionary.pool_codes(var_types[bag[-1]])
-        if groups and (min(firsts) not in pool or max(v[-1] for v in groups.values()) not in pool):
+        if groups and (min(firsts) not in pool or max(map(itemgetter(-1), groups.values())) not in pool):
             raise InputError(f"bag {i} candidate code outside the {var_types[bag[-1]]} pool")
         for c, cols in decomp.links[i]:  # the saved key order: heads sorted, then candidates
-            heads = sorted(reached(groups.items(), cols).items())
-            keys[c] = [(*head, v) for head, values in heads for v in values]
-        # Free now, or the last bag's streams and heads live on through count_groups.
-        keys[i] = sizes = firsts = gaps = heads = None
+            child_keys, spans = keys[c], positions[c] = [], [None] * len(groups)
+            for head, (values, named_by) in sorted(reached(groups.items(), cols).items()):
+                at = len(child_keys)
+                child_keys += [(*head, v) for v in values]
+                span = slice(at, len(child_keys)) if len(named_by) == 1 else range(at, len(child_keys))
+                for g in named_by:
+                    spans[g] = span
+        # Free now, or the last bag's streams live on through count_groups.
+        keys[i] = sizes = firsts = gaps = None
         candidates.append(groups)
     if not r.at_end():
         raise InputError("trailing bytes after index payload")
 
-    tables, total = count_groups(decomp, candidates)
+    tables, total, rows = count_groups(decomp, candidates, positions)
     return AccessIndex(
         decomp=decomp,
         dictionary=dictionary,
         var_types=var_types,
         tables=tables,
         total_count=total,
-        stats={"bag_rows": [table.rows() for table in tables]},
+        stats={"bag_rows": rows},
     )

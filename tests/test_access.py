@@ -210,6 +210,24 @@ def test_quantile_endpoints_and_median():
         ix.quantile(2)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda ix: ix.quantile(float("nan")), id="quantile-nan"),
+        pytest.param(lambda ix: ix.quantile(float("inf")), id="quantile-inf"),
+        pytest.param(lambda ix: ix.quantile("abc"), id="quantile-text"),
+        pytest.param(lambda ix: ix.sample_without_replacement(1.5, 0), id="sample-float"),
+        pytest.param(lambda ix: ix.sample_without_replacement("2", 0), id="sample-text"),
+        pytest.param(lambda ix: ix.enumerate_range(-1, 5), id="enumerate-negative-uniterated"),
+    ],
+)
+def test_conveniences_reject_bad_arguments(call):
+    # Each raises InputError at the call, as access_codes does, not a bare
+    # ValueError, OverflowError or TypeError, and not only once iterated.
+    with pytest.raises(InputError):
+        call(cross_index())
+
+
 def test_quantile_empty_result():
     q, order = parse_query("Q(x) :- R(x).")
     db = build_database({"R": (["int"], [])})
@@ -293,18 +311,21 @@ def reference_prune(decomp, tables):
 def test_count_and_prune_match_per_candidate_reference(monkeypatch):
     seen = []
     real = access.count_groups
-    monkeypatch.setattr(access, "count_groups", lambda d, c: seen.append((d, c)) or real(d, c))
+    monkeypatch.setattr(access, "count_groups", lambda d, c, p: seen.append((d, c, p)) or real(d, c, p))
     dropped = pruned = 0
     for seed in range(150):
         *_, ix = built_random(seed)
-        decomp, candidates = seen[-1]
-        tables, total = real(decomp, candidates)
+        decomp, candidates, positions = seen[-1]
+        assert positions is None  # build looks child totals up by key
+        tables, total, rows = real(decomp, candidates, positions)
         expected, expected_total = reference_count_groups(decomp, candidates)
         assert (tables, total) == (expected, expected_total), seed
+        assert rows == [t.rows() for t in expected], seed
         dropped += any(sum(map(len, c.values())) > t.rows() for c, t in zip(candidates, tables))
         lost = access.prune_unreached(decomp, tables)
         assert lost == reference_prune(decomp, expected), seed
         assert tables == expected == ix.tables, seed
+        assert ix.stats["bag_rows"] == [t.rows() for t in expected], seed
         pruned += bool(lost)
     assert dropped >= 10 and pruned >= 10, (dropped, pruned)
 
@@ -321,7 +342,7 @@ def test_prune_drops_unreached_groups_in_cascade(tmp_path, monkeypatch):
         }
     )
     real, pruned = access.prune_unreached, []
-    monkeypatch.setattr(access, "prune_unreached", lambda d, t: pruned.append(real(d, t)))
+    monkeypatch.setattr(access, "prune_unreached", lambda d, t: pruned.append(real(d, t)) or pruned[-1])
     ix = build_index(q, order, db)
     assert ix.bags == (("x",), ("x", "y"), ("y", "z"), ("z", "w"))
     assert pruned == [[2, 3]]
@@ -345,11 +366,11 @@ def test_reached_merges_candidates_per_head():
     once = [7, 9]
     groups = [((1, 5), [7, 8]), ((1, 6), once), ((2, 3), [1]), ((2, 5), [6, 8])]
     heads = access.reached(groups, (1,))
-    assert heads == {(5,): [6, 7, 8], (6,): [7, 9], (3,): [1]}
+    assert heads == {(5,): ([6, 7, 8], [0, 3]), (6,): ([7, 9], [1]), (3,): ([1], [2])}
     assert list(heads) == [(5,), (6,), (3,)]
-    assert heads[(6,)] is once
-    assert access.reached(groups, ()) == {(): [1, 6, 7, 8, 9]}
-    assert access.reached(groups, (0, 1)) == {key: values for key, values in groups}
+    assert heads[(6,)][0] is once
+    assert access.reached(groups, ()) == {(): ([1, 6, 7, 8, 9], [0, 1, 2, 3])}
+    assert access.reached(groups, (0, 1)) == {key: (values, [g]) for g, (key, values) in enumerate(groups)}
 
 
 def test_reached_keys_for_prune_and_load(tmp_path, monkeypatch):
@@ -362,7 +383,7 @@ def test_reached_keys_for_prune_and_load(tmp_path, monkeypatch):
     unreached = [(3, 2, 4), (4, 7, 5), (5, 9, 6)]
     db = build_database({"R": (["int"] * 3, r), "S": (["int"] * 3, s + unreached)})
     real, pruned = access.prune_unreached, []
-    monkeypatch.setattr(access, "prune_unreached", lambda d, t: pruned.append(real(d, t)))
+    monkeypatch.setattr(access, "prune_unreached", lambda d, t: pruned.append(real(d, t)) or pruned[-1])
     ix = build_index(q, order, db)
     assert ix.bags[2:] == (("a", "b", "c"), ("b", "c", "d")) and ix.links[2] == ((3, (1,)),)
     assert pruned == [[3]]
@@ -370,7 +391,7 @@ def test_reached_keys_for_prune_and_load(tmp_path, monkeypatch):
     named = sorted({(code(b), code(c)) for _, b, c in r})
     heads = access.reached(((k, vs) for k, (vs, _) in ix.tables[2].groups.items()), (1,))
     assert list(heads) != sorted(heads)
-    assert [(*head, v) for head, vs in sorted(heads.items()) for v in vs] == named
+    assert [(*head, v) for head, (vs, _) in sorted(heads.items()) for v in vs] == named
     assert list(ix.tables[3].groups) == named
     save_index(ix, tmp_path / "q.idx")
     loaded = load_index(tmp_path / "q.idx")
