@@ -15,17 +15,17 @@ Build phase, driven by the order-induced decomposition, whose bag forest
    projections;
 2. each bag's sorted rows become a map from interface (all columns except
    the bag's own variable) to sorted candidates;
-3. the full reducer runs on these maps, and its leaves-up half is the
-   counting loop shared with load (``count_groups``): last bag first, a
-   candidate's completion count is the product of its children's group
-   totals, which build looks up by value under each child's interface head
-   and load reads by position; a candidate with no group in a child bag is
-   dropped, and so is a group left empty; each group keeps prefix sums of
-   its counts, and each bag its rows.  Roots down, a child group
-   stays when some parent candidate reaches it (``reached``, the rule load
-   derives every child key by), which changes no count; a child bag is
-   filtered only when it has more groups than ``reached`` names.  Every
-   candidate left extends to an answer.
+3. the full reducer runs on these maps.  Its leaves-up half is an
+   existence filter (``_in_child``): last bag first, a candidate with no
+   group in some child bag is dropped, and so is a group left empty.  A bag
+   that is its child's projection names only the child's keys, so it skips
+   that filter unless the child lost a row.  Its roots-down half, then the count, are the passes load runs too.
+   ``derive_groups`` lists each child's keys from its parent's groups
+   (``reached``), takes only the groups they name, and notes where each
+   parent group's child groups sit; ``count_groups`` then gives each
+   candidate the product of its children's group totals, read by those
+   positions, each group prefix sums of its counts, and each bag its rows.
+   Every candidate left extends to an answer.
 
 An access then walks the variables in order.  At each variable the pending
 groups (one per bag whose interface is fully assigned but whose variable is
@@ -46,14 +46,15 @@ Indices are 0-based everywhere.
 from __future__ import annotations
 
 import random
+import re
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from itertools import accumulate, compress, groupby, repeat
+from itertools import accumulate, groupby
 from math import floor, prod
-from operator import itemgetter, mul
-from typing import Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import storage
 from .decomposition import Decomposition, decompose
@@ -62,14 +63,17 @@ from .query import JoinQuery, VariableOrder
 from .storage import Database
 from .wcoj import SubQuery, _collapse_repeats, generic_join
 
+Groups = dict[tuple[int, ...], list[int]]  # interface key -> sorted candidates, keys in order
+
 
 @dataclass
 class GroupTable:
     """Per-interface sorted candidates with inclusive prefix sums of weights.
 
-    ``groups`` holds its keys in increasing order, which is the order
-    ``index_io.save_index`` writes them in.  No list in it is changed once
-    counted, so a leaf bag's groups of one size share one prefix list.
+    ``groups`` holds its keys in increasing order, the order in which
+    ``derive_groups`` lists them and ``index_io.save_index`` writes them.  No
+    list in it is changed once counted, so a leaf bag's groups of one size
+    share one prefix list.
     """
 
     groups: dict[tuple[int, ...], tuple[list[int], list[int]]]
@@ -77,10 +81,6 @@ class GroupTable:
     def total(self, key: tuple[int, ...]) -> int:
         entry = self.groups.get(key)
         return entry[1][-1] if entry else 0
-
-    def rows(self) -> int:
-        """Candidates over all groups: the bag's rows."""
-        return sum(len(values) for values, _ in self.groups.values())
 
 
 @dataclass
@@ -172,18 +172,21 @@ class AccessIndex:
         keys: list[tuple[int, ...] | None] = [None] * n
         for root in self.roots:
             keys[root] = ()
-        for i, code in enumerate(codes):
-            key = keys[i]
-            values, prefix = self.tables[i].groups[key]
-            idx = bisect_left(values, code)
-            block = live // prefix[-1]
-            below = prefix[idx - 1] if idx else 0
-            r += block * below
-            if idx == len(values) or values[idx] != code:
-                return (r, r)
-            live = block * (prefix[idx] - below)
-            for c, cols in self.links[i]:
-                keys[c] = (*map(key.__getitem__, cols), code)
+        try:
+            for i, code in enumerate(codes):
+                key = keys[i]
+                values, prefix = self.tables[i].groups[key]
+                idx = bisect_left(values, code)
+                block = live // prefix[-1]
+                below = prefix[idx - 1] if idx else 0
+                r += block * below
+                if idx == len(values) or values[idx] != code:
+                    return (r, r)
+                live = block * (prefix[idx] - below)
+                for c, cols in self.links[i]:
+                    keys[c] = (*map(key.__getitem__, cols), code)
+        except TypeError:  # bisect compared a code that is not an int
+            raise InputError("answer codes must be integers") from None
         return (r, r + live)
 
     def _encode_head_tuple(self, t: Sequence) -> list[int] | None:
@@ -231,11 +234,15 @@ class AccessIndex:
         return [self.access(j) for j in sorted(chosen)]
 
     def quantile(self, q) -> tuple:
-        """The answer at index floor(q * (count - 1)) for rational q in [0, 1]."""
+        """The answer at index floor(q * (count - 1)) for rational q in [0, 1], or text Fraction parses."""
+        # Fraction builds 10**exponent: over 10 s for 1e10000000, growing faster than linearly.
+        exponent = isinstance(q, str) and re.search(r"e([-+]?[\d_]+)\s*\Z", q, re.I)
         try:
+            if exponent and 0 < sys.get_int_max_str_digits() < abs(int(exponent[1])):  # 0: no limit
+                raise ValueError("exponent beyond the int digit limit")
             q = Fraction(q)
         except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-            raise InputError(f"quantile argument {q!r} is not a rational number") from None
+            raise InputError(f"cannot parse quantile {q!r}") from None
         if q < 0 or q > 1:
             raise InputError("quantile argument must be in [0, 1]")
         if self.total_count == 0:
@@ -252,27 +259,50 @@ class AccessIndex:
 
 
 # ---------------------------------------------------------------------- #
-# build; load shares count_groups and reached, and needs no prune_unreached
+# build; load shares derive_groups, count_groups and reached
+
+
+def derive_groups(
+    decomp: Decomposition, take: Callable[[int, list[tuple[int, ...]] | None], Groups]
+) -> tuple[list[Groups], list[list[slice | range] | None]]:
+    """The full reducer's roots-down half: each bag's reached groups, and where they sit.
+
+    Parents first, ``take(i, keys)`` returns bag i's groups for ``keys``, the
+    child keys that ``reached`` names from its parent's groups, in key order
+    (heads sorted, then candidates), or for ``None`` at a root, whose only key
+    is ``()``.  Build takes them from its filtered maps, load from the file.
+    Returns the groups and, per child bag c, ``positions[c]``: per parent
+    group in key order, a ``slice`` of c's groups when that group alone names
+    its head, or the ``range`` of the groups under a head it shares.
+    """
+    n = len(decomp.bags)
+    keys: list[list[tuple[int, ...]] | None] = [None] * n  # set parents first
+    positions: list[list[slice | range] | None] = [None] * n
+    candidates = []
+    for i in range(n):
+        groups, keys[i] = take(i, keys[i]), None  # the keys are released as taken
+        for c, cols in decomp.links[i]:
+            child_keys, spans = keys[c], positions[c] = [], [None] * len(groups)
+            for head, (values, named_by) in sorted(reached(groups.items(), cols).items()):
+                at = len(child_keys)
+                child_keys += map(head.__add__, zip(values))  # (*head, v) per candidate v
+                span = slice(at, len(child_keys)) if len(named_by) == 1 else range(at, len(child_keys))
+                for g in named_by:
+                    spans[g] = span
+        candidates.append(groups)
+    return candidates, positions
 
 
 def count_groups(
-    decomp: Decomposition,
-    candidates: Sequence[dict[tuple[int, ...], list[int]]],
-    positions: Sequence[list[slice | range] | None] | None,
+    decomp: Decomposition, candidates: Sequence[Groups], positions: Sequence[list[slice | range] | None]
 ) -> tuple[tuple[GroupTable, ...], int, list[int]]:
-    """The full reducer's leaves-up half: group tables with prefix sums, the answer count and bag rows.
+    """The count over reached groups: group tables with prefix sums, the answer count and bag rows.
 
-    ``candidates[i]`` maps each interface key of bag i, in key order, to its
-    sorted, non-empty candidates.  A candidate's weight is the product of
-    its child group totals; one with no group in some child bag weighs 0 and
-    is dropped, and so is a group left empty.
-
-    Only how a link hands a group its child totals differs.  Build passes
-    ``positions=None`` and looks them up by key.  Load passes, for the link
-    into child bag c, ``positions[c]``: per parent group in key order, a
-    ``slice`` of the child's totals when that group alone names its head, or
-    the ``range`` of child positions under a shared head, mapped by value.
-    Load drops nothing, so no position moves.
+    ``candidates`` and ``positions`` are what ``derive_groups`` returns, so
+    every candidate has a group in each child bag and weighs the product of
+    those groups' totals.  A link hands each parent group its child totals
+    by position: a ``slice`` of the child's totals, or a shared head's
+    ``range``, mapped by value.  Nothing is dropped, so no position moves.
     """
     n = len(decomp.bags)
     tables: list[GroupTable | None] = [None] * n
@@ -280,57 +310,31 @@ def count_groups(
     rows = [0] * n
     for i in range(n - 1, -1, -1):
         bag = candidates[i]
-        kids = [
-            _weights_by_key(bag, cols, tables[c], totals[c])
-            if positions is None
-            else _weights_by_position(bag, positions[c], tables[c], totals[c])
-            for c, cols in decomp.links[i]
-        ]
+        kids = [_weights_by_position(bag, positions[c], tables[c], totals[c]) for c, _ in decomp.links[i]]
+        sizes = [*map(len, bag.values())]
         if not kids:  # a leaf's candidates weigh 1: group totals are sizes, one prefix list per size
-            sizes = [*map(len, bag.values())]
             ones: dict[int, list[int]] = {}
             groups = {
                 key: (values, ones.get(k) or ones.setdefault(k, [*range(1, k + 1)]))
                 for (key, values), k in zip(bag.items(), sizes)
             }
-            totals[i], rows[i] = sizes, sum(sizes)
+            totals[i] = sizes
         else:
-            weighed = kids[0] if len(kids) == 1 else (reduce(_times, ws) for ws in zip(*kids))
-            groups, bag_totals, kept = {}, [], 0
+            weighed = kids[0] if len(kids) == 1 else (list(map(prod, zip(*ws))) for ws in zip(*kids))
+            groups, totals[i] = {}, []
             for (key, values), weights in zip(bag.items(), weighed):
-                if 0 in weights:  # a candidate with no group in some child bag is dropped
-                    values = list(compress(values, weights))
-                    weights = list(filter(None, weights))
-                if values:
-                    prefix = list(accumulate(weights))
-                    groups[key] = (values, prefix)
-                    bag_totals.append(prefix[-1])
-                    kept += len(values)
-            totals[i], rows[i] = bag_totals, kept
-        tables[i] = GroupTable(groups)
+                prefix = list(accumulate(weights))
+                groups[key] = (values, prefix)
+                totals[i].append(prefix[-1])
+        tables[i], rows[i] = GroupTable(groups), sum(sizes)
         for c, _ in decomp.links[i]:
             totals[c] = None
     total = prod(tables[i].total(()) for i in decomp.roots)
     return tuple(tables), total, rows
 
 
-def _times(a: list[int], b: list[int]) -> list[int]:
-    return list(map(mul, a, b))
-
-
-def _weights_by_key(
-    parent: dict[tuple[int, ...], list[int]], cols: Sequence[int], child: GroupTable, totals: list[int]
-) -> Iterator[list[int]]:
-    """Per parent group, its candidates' child totals, looked up by head and then by value."""
-    by_head: dict[tuple[int, ...], dict[int, int]] = {}
-    for key, total in zip(child.groups, totals):
-        by_head.setdefault(key[:-1], {})[key[-1]] = total
-    for key, values in parent.items():
-        yield list(map(by_head.get(tuple(key[k] for k in cols), {}).get, values, repeat(0)))
-
-
 def _weights_by_position(
-    parent: dict[tuple[int, ...], list[int]], spans: list[slice | range], child: GroupTable, totals: list[int]
+    parent: Groups, spans: list[slice | range], child: GroupTable, totals: list[int]
 ) -> Iterator[list[int]]:
     """Per parent group, its candidates' child totals, read at the positions its span names."""
     keys = by_value = None  # the child's keys and each shared head's totals by value, when needed
@@ -357,7 +361,7 @@ def reached(
     ``head`` at ``cols`` and ``v`` among its candidates.  Returns, per head in
     first-seen order, the sorted distinct candidates and the indices of the
     groups that name it; a head named by one group gets that group's list
-    itself.
+    itself.  ``derive_groups`` lists every child key by it.
     """
     heads: dict[tuple[int, ...], list[int]] = {}
     lists = []
@@ -370,24 +374,24 @@ def reached(
     }
 
 
-def prune_unreached(decomp: Decomposition, tables: Sequence[GroupTable]) -> list[int]:
-    """The full reducer's roots-down half: drop each group no parent candidate reaches.
+def _in_child(groups: Groups, cols: Sequence[int], child: Groups) -> Groups:
+    """The full reducer's leaves-up filter: the candidates with a group in ``child``, empty groups dropped.
 
-    Build only; a loaded file stores no key, so it can hold no unreached group.
-    Returns the bags that lost groups, parents first, so a loss cascades down.
-    A child bag is filtered only when ``reached`` names fewer keys than it has
-    groups.
+    A group whose candidates are all of its head's values in ``child`` keeps
+    its list; any other is filtered through a set of those values, one per head.
     """
-    pruned = []
-    for i, links in enumerate(decomp.links):
-        for c, cols in links:
-            heads = reached(((key, values) for key, (values, _) in tables[i].groups.items()), cols)
-            child = tables[c].groups
-            if sum(len(values) for values, _ in heads.values()) < len(child):
-                keep = {(*head, v) for head, (values, _) in heads.items() for v in values}
-                tables[c].groups = {k: e for k, e in child.items() if k in keep}
-                pruned.append(c)
-    return pruned
+    runs = {head: [*map(itemgetter(-1), keys)] for head, keys in groupby(child, itemgetter(slice(None, -1)))}
+    kept = {}
+    for key, values in groups.items():
+        head = tuple(map(key.__getitem__, cols))
+        run = runs.get(head, ())
+        if values != run:
+            if type(run) is not set:  # made once per head
+                run = runs[head] = set(run)
+            values = list(filter(run.__contains__, values))
+        if values:
+            kept[key] = values
+    return kept
 
 
 def _variable_types(q: JoinQuery, db: Database) -> dict[str, str]:
@@ -421,7 +425,7 @@ def build_index(q: JoinQuery, order: VariableOrder, db: Database) -> AccessIndex
     # latest); a bag inside one is its projection, which enforces its atoms.
     rels: list[storage.Relation | None] = [None] * n
     interface, last = itemgetter(slice(None, -1)), itemgetter(-1)
-    candidates: list[dict[tuple[int, ...], list[int]]] = [{}] * n
+    candidates: list[Groups | None] = [None] * n
     for i in range(n - 1, -1, -1):
         keep = bags[i]
         bag = frozenset(keep)
@@ -448,13 +452,18 @@ def build_index(q: JoinQuery, order: VariableOrder, db: Database) -> AccessIndex
                 multiatom_joins += 1
         rels[i] = b
         # Sorted rows group by interface with their candidates already sorted.
-        candidates[i] = {key: list(map(last, rows)) for key, rows in groupby(b.rows, interface)}
+        groups = {key: list(map(last, rows)) for key, rows in groupby(b.rows, interface)}
+        for c, cols in decomp.links[i]:  # the projection of a child names its keys, kept if it lost no row
+            if c != j or sum(map(len, candidates[c].values())) < len(rels[c].rows):
+                groups = _in_child(groups, cols, candidates[c])
+        candidates[i] = groups
     del rels
 
-    # Leaves up with the counts, then roots down: an unreached group changes no count.
-    tables, total, rows = count_groups(decomp, candidates, None)
-    for c in prune_unreached(decomp, tables):
-        rows[c] = tables[c].rows()
+    def take(i: int, keys: list[tuple[int, ...]] | None) -> Groups:
+        groups, candidates[i] = candidates[i], None  # released as taken
+        return groups if keys is None or len(keys) == len(groups) else {key: groups[key] for key in keys}
+
+    tables, total, rows = count_groups(decomp, *derive_groups(decomp, take))
 
     return AccessIndex(
         decomp=decomp,

@@ -15,10 +15,8 @@ import json
 import logging
 import os
 import random
-import re
 import sys
 import time
-from fractions import Fraction
 from math import prod
 from pathlib import Path
 
@@ -198,16 +196,7 @@ def cmd_sample(args) -> int:
 
 def cmd_quantile(args) -> int:
     ix = index_io.load_index(args.index)
-    # Fraction builds 10**exponent: over 10 s for 1e10000000, growing faster than linearly.
-    exponent = re.search(r"e([-+]?[\d_]+)\s*\Z", args.q, re.I)
-    limit = sys.get_int_max_str_digits()  # 0: no limit
-    try:
-        if exponent and limit and abs(int(exponent[1])) > limit:
-            raise ValueError("exponent beyond the int digit limit")
-        q = Fraction(args.q)
-    except (ValueError, ZeroDivisionError):
-        raise InputError(f"cannot parse quantile {args.q!r}") from None
-    _emit_rows([ix.quantile(q)], args.format)
+    _emit_rows([ix.quantile(args.q)], args.format)
     return 0
 
 

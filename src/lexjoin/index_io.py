@@ -2,9 +2,10 @@
 
 Only each group's sorted candidates are stored.  The bag forest comes from
 ``decompose`` on the stored query, solving no LP, and implies every group key
-(below); load recomputes the prefix sums, the answer count and the bag rows
-in the build's own counting loop (``access.count_groups``), reading each
-group's child totals by position rather than by key.
+(below); load then runs the build's own two passes: ``access.derive_groups``
+lists the keys, taking each bag's candidate lists from the file, and
+``access.count_groups`` recomputes the prefix sums, the answer count and the
+bag rows, reading each group's child totals by position.
 
 Layout, in stream order (all integers LEB128 unsigned varints unless noted):
 
@@ -27,26 +28,26 @@ groups                       per bag, in order: a root bag's group count (0 or
 checksum                     CRC-32 of everything before it, 4 bytes, little-endian
 ===========================  ===================================================
 
-Why no key is stored: the build's full reducer keeps as a child bag's keys
-exactly those that ``access.reached`` names from its parent's groups:
-``count_groups`` drops a candidate with no group in some child, and
-``prune_unreached`` a group that ``reached`` does not name.  So load calls
-``reached`` on each parent's groups and lists the keys in saved order,
-heads sorted, and a root's only key is ``()``.  Each derived key gets a
-group of at least one candidate, so no candidate lacks a child group and no
-group is unreached: load drops nothing and needs no prune.  It rejects what
-the format can still get wrong: an empty group, a zero gap, a candidate
-outside its pool, a root with more than one group, truncation and trailing
-bytes.
+Why no key is stored: a child bag's keys are exactly those that
+``access.reached`` names from its parent's groups.  Build drops, leaves up,
+each candidate with no group in some child bag, and then lists every
+child's keys by ``reached`` roots down (``derive_groups``), taking only the
+groups they name.  Load lists them by the same pass, in saved order, heads
+sorted, and a root's only key is ``()``.  Each derived key gets a group of
+at least one candidate, so no candidate lacks a child group and no group is
+unreached: load drops nothing.  It rejects what the format can still get
+wrong: an empty group, a zero gap, a candidate outside its pool, a root
+with more than one group, truncation and trailing bytes.
 
-Counting by position: as load lists a child's keys it notes, per parent
-group, where that group's child groups sit in the child's key order.  A
-head that one parent group names covers a contiguous run of child groups in
-that group's candidate order, so the group's child totals are one slice.  A
-head that several parent groups share covers the run of its sorted union;
-each of those groups maps its candidates to totals through that run, by
-value.  Since load drops nothing, every position holds through the count,
-which makes no key lookup.
+Counting by position: as ``derive_groups`` lists a child's keys it notes,
+per parent group, where that group's child groups sit in the child's key
+order.  A head that one parent group names covers a contiguous run of child
+groups in that group's candidate order, so the group's child totals are one
+slice.  A head that several parent groups share covers the run of its
+sorted union; each of those groups maps its candidates to totals through
+that run, by value.  Build and load both count after that pass, which drops
+nothing, so every position holds through the count, which makes no key
+lookup.
 
 A stream of values below 0x80 is its own bytes: save writes it with one
 ``bytes`` call, and load takes it as one slice when its next n bytes are all
@@ -63,7 +64,7 @@ from itertools import accumulate, chain
 from operator import itemgetter, sub
 from pathlib import Path
 
-from .access import AccessIndex, count_groups, reached
+from .access import AccessIndex, count_groups, derive_groups
 from .decomposition import decompose
 from .errors import InputError
 from .query import format_query, parse_query
@@ -239,16 +240,14 @@ def _decode(blob: bytes) -> AccessIndex:
     var_types = {v: r.type_name() for v in order.variables}
 
     decomp = decompose(q, order)
-    keys: list[list[tuple[int, ...]] | None] = [None] * len(decomp.bags)  # set parents first
-    positions: list[list[slice | range] | None] = [None] * len(decomp.bags)
-    candidates = []
-    for i, bag in enumerate(decomp.bags):
-        if decomp.parent[i] is None:
+
+    def take(i: int, keys: list[tuple[int, ...]] | None) -> dict[tuple[int, ...], list[int]]:
+        if keys is None:
             count = r.uvarint()
             if count > 1:
                 raise InputError(f"root bag {i} has {count} groups, more than one")
-            keys[i] = [()] * count
-        sizes, firsts = r.uvarints(len(keys[i])), r.uvarints(len(keys[i]))
+            keys = [()] * count
+        sizes, firsts = r.uvarints(len(keys)), r.uvarints(len(keys))
         if 0 in sizes:
             raise InputError(f"bag {i} has an empty group")
         gaps = r.uvarints(sum(sizes) - len(sizes))
@@ -256,24 +255,17 @@ def _decode(blob: bytes) -> AccessIndex:
             raise InputError("index file values are not strictly increasing")
         groups: dict[tuple[int, ...], list[int]] = {}
         start = 0
-        for key, size, first in zip(keys[i], sizes, firsts):
+        for key, size, first in zip(keys, sizes, firsts):
             stop = start + size - 1  # one candidate is [first]: list() keeps spare slots
             groups[key] = list(accumulate(gaps[start:stop], initial=first)) if size > 1 else [first]
             start = stop
-        pool = dictionary.pool_codes(var_types[bag[-1]])
+        var_type = var_types[decomp.bags[i][-1]]
+        pool = dictionary.pool_codes(var_type)
         if groups and (min(firsts) not in pool or max(map(itemgetter(-1), groups.values())) not in pool):
-            raise InputError(f"bag {i} candidate code outside the {var_types[bag[-1]]} pool")
-        for c, cols in decomp.links[i]:  # the saved key order: heads sorted, then candidates
-            child_keys, spans = keys[c], positions[c] = [], [None] * len(groups)
-            for head, (values, named_by) in sorted(reached(groups.items(), cols).items()):
-                at = len(child_keys)
-                child_keys += [(*head, v) for v in values]
-                span = slice(at, len(child_keys)) if len(named_by) == 1 else range(at, len(child_keys))
-                for g in named_by:
-                    spans[g] = span
-        # Free now, or the last bag's streams live on through count_groups.
-        keys[i] = sizes = firsts = gaps = None
-        candidates.append(groups)
+            raise InputError(f"bag {i} candidate code outside the {var_type} pool")
+        return groups
+
+    candidates, positions = derive_groups(decomp, take)
     if not r.at_end():
         raise InputError("trailing bytes after index payload")
 

@@ -1,13 +1,15 @@
 import random
+import sys
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from fractions import Fraction as F
 from itertools import permutations
-from math import prod
+from operator import itemgetter
 
 import pytest
 
 from lexjoin import VariableOrder, access, build_database, storage
-from lexjoin.access import GroupTable, build_index
+from lexjoin.access import build_index
 from lexjoin.errors import InputError, NotAnAnswerError, OutOfBoundsError
 from lexjoin.index_io import load_index, save_index
 from lexjoin.oracle import materialize_codes, materialize_sorted
@@ -54,6 +56,10 @@ def test_code_calls_reject_malformed_arguments():
     for codes in ([], [1], [1, 1, 1]):
         with pytest.raises(InputError, match=f"expected 2 values, got {len(codes)}"):
             ix.rank_codes(codes)
+    with pytest.raises(InputError, match="answer codes must be integers"):
+        ix.rank_codes(["a", "b"])
+    with pytest.raises(InputError, match="answer codes must be integers"):
+        ix.prefix_range(["a"])
 
 
 def test_empty_result_count_zero():
@@ -216,6 +222,7 @@ def test_quantile_endpoints_and_median():
         pytest.param(lambda ix: ix.quantile(float("nan")), id="quantile-nan"),
         pytest.param(lambda ix: ix.quantile(float("inf")), id="quantile-inf"),
         pytest.param(lambda ix: ix.quantile("abc"), id="quantile-text"),
+        pytest.param(lambda ix: ix.quantile(f"1e-{sys.get_int_max_str_digits() + 1}"), id="quantile-exponent"),
         pytest.param(lambda ix: ix.sample_without_replacement(1.5, 0), id="sample-float"),
         pytest.param(lambda ix: ix.sample_without_replacement("2", 0), id="sample-text"),
         pytest.param(lambda ix: ix.enumerate_range(-1, 5), id="enumerate-negative-uniterated"),
@@ -274,63 +281,67 @@ def test_full_reduction_keeps_exactly_the_answer_projections():
     assert checked >= 40
 
 
-def reference_count_groups(decomp, candidates):
-    """count_groups one candidate at a time, looking up each child key."""
-    tables = [None] * len(decomp.bags)
-    for i in reversed(range(len(decomp.bags))):
-        groups = {}
-        for key, values in candidates[i].items():
-            kept, prefix = [], []
-            for value in values:
-                w = 1
-                for c, cols in decomp.links[i]:
-                    w *= tables[c].total(tuple(key[k] for k in cols) + (value,))
-                if w:
-                    kept.append(value)
-                    prefix.append((prefix[-1] if prefix else 0) + w)
-            if kept:
-                groups[key] = (kept, prefix)
-        tables[i] = GroupTable(groups)
-    return tuple(tables), prod(tables[i].total(()) for i in decomp.roots)
+def assert_weights_count_answer_projections(ix, rows):
+    """Each candidate weighs the distinct answers it extends to below its bag.
 
-
-def reference_prune(decomp, tables):
-    """prune_unreached with the set of reached child keys of each link."""
-    pruned = []
-    for i, links in enumerate(decomp.links):
-        for c, cols in links:
-            parent = tables[i].groups.items()
-            reached = {tuple(key[k] for k in cols) + (v,) for key, (vs, _) in parent for v in vs}
-            kept = {k: e for k, e in tables[c].groups.items() if k in reached}
-            if len(kept) < len(tables[c].groups):
-                pruned.append(c)
-            tables[c].groups = kept
-    return pruned
+    Bag i owns order position i, and its subtree the positions of the bags
+    under it.  Given the bag's values, a candidate's weight is the number of
+    distinct projections of the answers onto the positions its subtree owns,
+    and the stored bag rows are exactly the answers' projections.
+    """
+    owned = [[i] for i in range(len(ix.bags))]
+    for i in reversed(range(len(ix.bags))):
+        for c, _ in ix.links[i]:
+            owned[i] += owned[c]
+    for i, (bag, table) in enumerate(zip(ix.bags, ix.tables)):
+        cols = [ix.order.position(v) for v in bag]  # both hold i, so the getter makes tuples
+        ends = set(map(itemgetter(*cols, *owned[i]), rows))
+        stored = {}
+        for key, (values, prefix) in table.groups.items():
+            for v, before, after in zip(values, [0, *prefix], prefix):
+                stored[(*key, v)] = after - before
+        assert stored == Counter(end[: len(cols)] for end in ends), bag
+    assert ix.stats["bag_rows"] == [sum(map(len, (vs for vs, _ in t.groups.values()))) for t in ix.tables]
+    assert ix.count() == len(rows)
 
 
 def test_count_and_prune_match_per_candidate_reference(monkeypatch):
-    seen = []
-    real = access.count_groups
-    monkeypatch.setattr(access, "count_groups", lambda d, c, p: seen.append((d, c, p)) or real(d, c, p))
-    dropped = pruned = 0
+    # Build drops a candidate with no group in some child bag, leaves up, and
+    # takes only the child groups its parents reach, roots down.  Both occur.
+    real_filter, real_derive, dropped, pruned = access._in_child, access.derive_groups, [], []
+
+    def filter_spy(groups, cols, child):
+        kept = real_filter(groups, cols, child)
+        dropped.append(sum(map(len, kept.values())) < sum(map(len, groups.values())))
+        return kept
+
+    def take_spy(take):  # asks build's take for a bag's whole map, then picks the reached keys
+        def whole_then_reached(i, keys):
+            groups = take(i, None)
+            pruned.append(keys is not None and len(keys) < len(groups))
+            return groups if keys is None else {key: groups[key] for key in keys}
+
+        return whole_then_reached
+
+    monkeypatch.setattr(access, "_in_child", filter_spy)
+    monkeypatch.setattr(access, "derive_groups", lambda decomp, take: real_derive(decomp, take_spy(take)))
+    checked = builds_dropping = builds_pruning = 0
     for seed in range(150):
-        *_, ix = built_random(seed)
-        decomp, candidates, positions = seen[-1]
-        assert positions is None  # build looks child totals up by key
-        tables, total, rows = real(decomp, candidates, positions)
-        expected, expected_total = reference_count_groups(decomp, candidates)
-        assert (tables, total) == (expected, expected_total), seed
-        assert rows == [t.rows() for t in expected], seed
-        dropped += any(sum(map(len, c.values())) > t.rows() for c, t in zip(candidates, tables))
-        lost = access.prune_unreached(decomp, tables)
-        assert lost == reference_prune(decomp, expected), seed
-        assert tables == expected == ix.tables, seed
-        assert ix.stats["bag_rows"] == [t.rows() for t in expected], seed
-        pruned += bool(lost)
-    assert dropped >= 10 and pruned >= 10, (dropped, pruned)
+        dropped.clear()
+        pruned.clear()
+        q, order, db, ix = built_random(seed)
+        rows = materialize_codes(q, order, db)
+        if rows:  # with several roots, a tree keeps its groups when another has none
+            checked += 1
+            assert_weights_count_answer_projections(ix, rows)
+        else:
+            assert ix.count() == 0, seed
+        builds_dropping += any(dropped)
+        builds_pruning += any(pruned)
+    assert checked >= 40 and builds_dropping >= 10 and builds_pruning >= 10, (checked, builds_dropping, builds_pruning)
 
 
-def test_prune_drops_unreached_groups_in_cascade(tmp_path, monkeypatch):
+def test_prune_drops_unreached_groups_in_cascade(tmp_path):
     # y = 9 is in S but in no R row: bag {y, z}'s group 9 is reached by no
     # candidate of bag {x, y}, and bag {z, w}'s group 10 only through it.
     q, order = parse_query("Q(x,y,z,w) :- R(x,y), S(y,z), T(z,w).")
@@ -341,17 +352,16 @@ def test_prune_drops_unreached_groups_in_cascade(tmp_path, monkeypatch):
             "T": (["int", "int"], [(5, 7), (6, 7), (6, 8), (10, 11)]),
         }
     )
-    real, pruned = access.prune_unreached, []
-    monkeypatch.setattr(access, "prune_unreached", lambda d, t: pruned.append(real(d, t)) or pruned[-1])
     ix = build_index(q, order, db)
     assert ix.bags == (("x",), ("x", "y"), ("y", "z"), ("z", "w"))
-    assert pruned == [[2, 3]]
-    rows = materialize_codes(q, order, db)
-    for bag, table, n in zip(ix.bags, ix.tables, ix.stats["bag_rows"]):
-        cols = [order.position(v) for v in bag]
-        stored = {key + (v,) for key, (values, _) in table.groups.items() for v in values}
-        assert stored == {tuple(row[c] for c in cols) for row in rows}
-        assert n == len(stored)
+    c = lambda *vs: [db.dictionary.encode("int", v) for v in vs]  # noqa: E731
+    assert [t.groups for t in ix.tables] == [
+        {(): (c(1, 4), [4, 7])},
+        {(*c(1),): (c(2, 3), [1, 4]), (*c(4),): (c(3), [3])},
+        {(*c(2),): (c(5), [1]), (*c(3),): (c(5, 6), [1, 3])},
+        {(*c(5),): (c(7), [1]), (*c(6),): (c(7, 8), [1, 2])},
+    ]
+    assert_weights_count_answer_projections(ix, materialize_codes(q, order, db))
     path = tmp_path / "q.idx"
     save_index(ix, path)
     loaded = load_index(path)
@@ -373,7 +383,7 @@ def test_reached_merges_candidates_per_head():
     assert access.reached(groups, (0, 1)) == {key: (values, [g]) for g, (key, values) in enumerate(groups)}
 
 
-def test_reached_keys_for_prune_and_load(tmp_path, monkeypatch):
+def test_reached_keys_for_build_and_load(tmp_path):
     # Bag (a, b, c) links to bag (b, c, d) at column 1 of its key (a, b), so
     # heads b arrive out of key order, and b = 5 gets c from a = 1 and a = 2.
     # S's (b, c) pairs (3, 2), (4, 7) and (5, 9) are in no R row: unreached.
@@ -382,21 +392,21 @@ def test_reached_keys_for_prune_and_load(tmp_path, monkeypatch):
     s = [(5, 6, 0), (5, 7, 0), (5, 8, 1), (6, 7, 2), (6, 9, 2), (3, 1, 3)]
     unreached = [(3, 2, 4), (4, 7, 5), (5, 9, 6)]
     db = build_database({"R": (["int"] * 3, r), "S": (["int"] * 3, s + unreached)})
-    real, pruned = access.prune_unreached, []
-    monkeypatch.setattr(access, "prune_unreached", lambda d, t: pruned.append(real(d, t)) or pruned[-1])
     ix = build_index(q, order, db)
     assert ix.bags[2:] == (("a", "b", "c"), ("b", "c", "d")) and ix.links[2] == ((3, (1,)),)
-    assert pruned == [[3]]
     code = lambda v: db.dictionary.encode("int", v)  # noqa: E731
     named = sorted({(code(b), code(c)) for _, b, c in r})
     heads = access.reached(((k, vs) for k, (vs, _) in ix.tables[2].groups.items()), (1,))
     assert list(heads) != sorted(heads)
     assert [(*head, v) for head, (vs, _) in sorted(heads.items()) for v in vs] == named
     assert list(ix.tables[3].groups) == named
+    assert ix.stats["bag_rows"] == [2, 4, 7, 6]
+    assert_weights_count_answer_projections(ix, materialize_codes(q, order, db))
     save_index(ix, tmp_path / "q.idx")
     loaded = load_index(tmp_path / "q.idx")
     assert list(loaded.tables[3].groups) == named
     assert loaded.tables == ix.tables
+    assert loaded.stats["bag_rows"] == ix.stats["bag_rows"]
     assert materialize_codes(q, order, db) == list(map(ix.access_codes, range(ix.count())))
 
 

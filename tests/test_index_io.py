@@ -1,6 +1,7 @@
 import hashlib
 import random
 import zlib
+from collections import Counter
 
 import pytest
 
@@ -12,9 +13,10 @@ from lexjoin.decomposition import decompose
 from lexjoin.errors import InputError, LexjoinError
 from lexjoin.hardness import star_query
 from lexjoin.index_io import MAGIC, load_index, save_index
-from lexjoin.oracle import materialize_sorted
+from lexjoin.oracle import materialize_codes, materialize_sorted
 from lexjoin.query import format_query, parse_query
 from tests.randgen import random_database, random_query
+from tests.test_access import assert_weights_count_answer_projections
 
 
 def sample_index():
@@ -84,37 +86,44 @@ def test_built_and_loaded_tables_hold_keys_in_order(tmp_path):
             assert list(table.groups) == sorted(table.groups), seed
 
 
-def test_load_counts_by_position_as_build_counts_by_key(tmp_path, monkeypatch):
-    # Load hands each group its child totals by position: a head that one
-    # parent group names is a slice of the child's totals, and a shared head
-    # is a range mapped by value.  Build looks them up by key.  Both shapes
-    # occur, and a loaded index counts exactly as its build did.
-    positions, real = [], index_io.count_groups
-    monkeypatch.setattr(index_io, "count_groups", lambda d, c, p: positions.append(p) or real(d, c, p))
+def test_build_and_load_count_by_position(tmp_path):
+    # Build and load hand each group its child totals by position: a head
+    # that one parent group names is a slice of the child's totals, and a
+    # shared head is a range mapped by value.  Both shapes occur, each
+    # candidate weighs what the answers below it say, and a loaded index
+    # counts exactly as its build did.
     path = tmp_path / "r.idx"
     sliced = shared = 0
     for seed in range(400):
         rng = random.Random(seed)
         q, order = random_query(rng)
-        ix = build_index(q, order, random_database(rng, q))
+        db = random_database(rng, q)
+        ix = build_index(q, order, db)
+        rows = materialize_codes(q, order, db)
+        if rows:  # with several roots, a tree keeps its groups when another has none
+            assert_weights_count_answer_projections(ix, rows)
         save_index(ix, path)
         loaded = load_index(path)
         assert loaded.tables == ix.tables, seed
         assert loaded.count() == ix.count(), seed
         assert loaded.stats["bag_rows"] == ix.stats["bag_rows"], seed
-        for spans in filter(None, positions.pop()):  # one per link; None at a root
-            sliced += any(type(span) is slice for span in spans)
-            shared += any(type(span) is range for span in spans)
+        for i, links in enumerate(ix.links):
+            for _, cols in links:
+                named = Counter(tuple(key[k] for k in cols) for key in ix.tables[i].groups).values()
+                sliced += 1 in named
+                shared += any(n > 1 for n in named)
     assert sliced >= 20 and shared >= 20, (sliced, shared)
     # Random codes stay below 6, where a set of them iterates in key order.
     # Here b = 2 and b = 9 share head () with child totals 1 and 5, and a set
     # holds 9 before 2, so a shared head mapped out of key order miscounts.
     q, order = parse_query("Q(a,b,c) :- R(a,b), S(b,c).")
     s = [(2, 3), *((9, c) for c in range(4, 9))]
-    ix = build_index(q, order, build_database({"R": (["int"] * 2, [(0, 9), (1, 2)]), "S": (["int"] * 2, s)}))
+    db = build_database({"R": (["int"] * 2, [(0, 9), (1, 2)]), "S": (["int"] * 2, s)})
+    ix = build_index(q, order, db)
+    assert ix.links[1] == ((2, ()),) and ix.tables[1].groups == {(0,): ([9], [5]), (1,): ([2], [1])}
+    assert_weights_count_answer_projections(ix, materialize_codes(q, order, db))
     save_index(ix, path)
     loaded = load_index(path)
-    assert positions.pop()[2] == [range(0, 2)] * 2
     assert loaded.tables == ix.tables and loaded.count() == ix.count() == 6
 
 
