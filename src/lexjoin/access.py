@@ -19,13 +19,14 @@ Build phase, driven by the order-induced decomposition, whose bag forest
    existence filter (``_in_child``): last bag first, a candidate with no
    group in some child bag is dropped, and so is a group left empty.  A bag
    that is its child's projection names only the child's keys, so it skips
-   that filter unless the child lost a row.  Its roots-down half, then the count, are the passes load runs too.
-   ``derive_groups`` lists each child's keys from its parent's groups
-   (``reached``), takes only the groups they name, and notes where each
-   parent group's child groups sit; ``count_groups`` then gives each
-   candidate the product of its children's group totals, read by those
-   positions, each group prefix sums of its counts, and each bag its rows.
-   Every candidate left extends to an answer.
+   that filter unless the child lost a row.  Its roots-down half, then the
+   count, are one function that load runs too, ``derive_index``: it lists
+   each child's keys from its parent's groups (``reached``), takes only the
+   groups they name, and notes where each parent group's child groups sit;
+   leaves up, it then gives each candidate the product of its children's
+   group totals, read by those positions, each group prefix sums of its
+   counts, and each bag its rows, and returns the index.  Every candidate
+   left extends to an answer.
 
 An access then walks the variables in order.  At each variable the pending
 groups (one per bag whose interface is fully assigned but whose variable is
@@ -71,16 +72,12 @@ class GroupTable:
     """Per-interface sorted candidates with inclusive prefix sums of weights.
 
     ``groups`` holds its keys in increasing order, the order in which
-    ``derive_groups`` lists them and ``index_io.save_index`` writes them.  No
+    ``derive_index`` lists them and ``index_io.save_index`` writes them.  No
     list in it is changed once counted, so a leaf bag's groups of one size
     share one prefix list.
     """
 
     groups: dict[tuple[int, ...], tuple[list[int], list[int]]]
-
-    def total(self, key: tuple[int, ...]) -> int:
-        entry = self.groups.get(key)
-        return entry[1][-1] if entry else 0
 
 
 @dataclass
@@ -167,7 +164,9 @@ class AccessIndex:
             raise InputError(f"expected at most {n} values, got {len(codes)}")
         r = 0
         live = self.total_count
-        if live == 0:
+        if live == 0:  # the walk would compare no code, so check their type here
+            if not all(isinstance(code, int) for code in codes):
+                raise InputError("answer codes must be integers")
             return (0, 0)
         keys: list[tuple[int, ...] | None] = [None] * n
         for root in self.roots:
@@ -226,7 +225,10 @@ class AccessIndex:
             raise InputError("sample size must be an integer")
         if n < 0 or n > self.total_count:
             raise InputError(f"cannot sample {n} of {self.total_count} answers")
-        rng = random.Random(seed)
+        try:
+            rng = random.Random(seed)
+        except TypeError:
+            raise InputError(f"cannot seed a sample with {type(seed).__name__} {seed!r}") from None
         chosen: set[int] = set()
         for j in range(self.total_count - n, self.total_count):
             t = rng.randrange(j + 1)
@@ -259,58 +261,51 @@ class AccessIndex:
 
 
 # ---------------------------------------------------------------------- #
-# build; load shares derive_groups, count_groups and reached
+# build; load shares derive_index and reached
 
 
-def derive_groups(
-    decomp: Decomposition, take: Callable[[int, list[tuple[int, ...]] | None], Groups]
-) -> tuple[list[Groups], list[list[slice | range] | None]]:
-    """The full reducer's roots-down half: each bag's reached groups, and where they sit.
+def derive_index(
+    decomp: Decomposition,
+    take: Callable[[int, list[tuple[int, ...]] | None], Groups],
+    dictionary: storage.ValueDictionary,
+    var_types: dict[str, str],
+    stats: dict,
+) -> AccessIndex:
+    """The full reducer's roots-down half, then the count: the index over the groups ``take`` gives.
 
     Parents first, ``take(i, keys)`` returns bag i's groups for ``keys``, the
     child keys that ``reached`` names from its parent's groups, in key order
     (heads sorted, then candidates), or for ``None`` at a root, whose only key
     is ``()``.  Build takes them from its filtered maps, load from the file.
-    Returns the groups and, per child bag c, ``positions[c]``: per parent
-    group in key order, a ``slice`` of c's groups when that group alone names
-    its head, or the ``range`` of the groups under a head it shares.
+    As it lists a child's keys, it notes per parent group where its child
+    groups sit: a ``slice`` when that group alone names its head, or the start
+    and sorted union of a head it shares.  Leaves up, each candidate then
+    weighs the product of its children's group totals, read at those
+    positions; nothing is dropped, so no position moves.  The index's stats
+    are ``stats`` and the bag rows.
     """
     n = len(decomp.bags)
-    keys: list[list[tuple[int, ...]] | None] = [None] * n  # set parents first
-    positions: list[list[slice | range] | None] = [None] * n
-    candidates = []
+    keys: list[list[tuple[int, ...]] | None] = [None] * n  # set parents first, released as taken
+    spans: list[list[slice | tuple[int, list[int]]] | None] = [None] * n
+    candidates: list[Groups | None] = []
     for i in range(n):
-        groups, keys[i] = take(i, keys[i]), None  # the keys are released as taken
+        groups, keys[i] = take(i, keys[i]), None
         for c, cols in decomp.links[i]:
-            child_keys, spans = keys[c], positions[c] = [], [None] * len(groups)
+            keys[c], spans[c] = [], [None] * len(groups)
             for head, (values, named_by) in sorted(reached(groups.items(), cols).items()):
-                at = len(child_keys)
-                child_keys += map(head.__add__, zip(values))  # (*head, v) per candidate v
-                span = slice(at, len(child_keys)) if len(named_by) == 1 else range(at, len(child_keys))
+                at = len(keys[c])
+                keys[c] += map(head.__add__, zip(values))  # (*head, v) per candidate v
+                span = slice(at, len(keys[c])) if len(named_by) == 1 else (at, values)
                 for g in named_by:
-                    spans[g] = span
+                    spans[c][g] = span
         candidates.append(groups)
-    return candidates, positions
 
-
-def count_groups(
-    decomp: Decomposition, candidates: Sequence[Groups], positions: Sequence[list[slice | range] | None]
-) -> tuple[tuple[GroupTable, ...], int, list[int]]:
-    """The count over reached groups: group tables with prefix sums, the answer count and bag rows.
-
-    ``candidates`` and ``positions`` are what ``derive_groups`` returns, so
-    every candidate has a group in each child bag and weighs the product of
-    those groups' totals.  A link hands each parent group its child totals
-    by position: a ``slice`` of the child's totals, or a shared head's
-    ``range``, mapped by value.  Nothing is dropped, so no position moves.
-    """
-    n = len(decomp.bags)
     tables: list[GroupTable | None] = [None] * n
     totals: list[list[int] | None] = [None] * n  # per bag, its group totals in key order
     rows = [0] * n
     for i in range(n - 1, -1, -1):
-        bag = candidates[i]
-        kids = [_weights_by_position(bag, positions[c], tables[c], totals[c]) for c, _ in decomp.links[i]]
+        bag, candidates[i] = candidates[i], None
+        kids = [_weights_by_position(bag, spans[c], totals[c]) for c, _ in decomp.links[i]]
         sizes = [*map(len, bag.values())]
         if not kids:  # a leaf's candidates weigh 1: group totals are sizes, one prefix list per size
             ones: dict[int, list[int]] = {}
@@ -328,26 +323,24 @@ def count_groups(
                 totals[i].append(prefix[-1])
         tables[i], rows[i] = GroupTable(groups), sum(sizes)
         for c, _ in decomp.links[i]:
-            totals[c] = None
-    total = prod(tables[i].total(()) for i in decomp.roots)
-    return tuple(tables), total, rows
+            totals[c] = spans[c] = None
+    total = prod(sum(totals[i]) for i in decomp.roots)  # a root has one group or none
+    return AccessIndex(decomp, dictionary, var_types, tuple(tables), total, {**stats, "bag_rows": rows})
 
 
 def _weights_by_position(
-    parent: Groups, spans: list[slice | range], child: GroupTable, totals: list[int]
+    parent: Groups, spans: list[slice | tuple[int, list[int]]], totals: list[int]
 ) -> Iterator[list[int]]:
-    """Per parent group, its candidates' child totals, read at the positions its span names."""
-    keys = by_value = None  # the child's keys and each shared head's totals by value, when needed
+    """Per parent group, its candidates' child totals: a slice, or a shared head's totals by value."""
+    by_start: dict[int, Callable[[int], int]] = {}  # each shared head's totals by value, made once
     for span, values in zip(spans, parent.values()):
         if type(span) is slice:
             yield totals[span]
             continue
-        if keys is None:
-            keys, by_value = list(child.groups), {}
-        weight = by_value.get(span)
+        at, union = span
+        weight = by_start.get(at)
         if weight is None:
-            at = slice(span.start, span.stop)
-            weight = by_value[span] = dict(zip(map(itemgetter(-1), keys[at]), totals[at])).__getitem__
+            weight = by_start[at] = dict(zip(union, totals[at : at + len(union)])).__getitem__
         yield list(map(weight, values))
 
 
@@ -361,7 +354,7 @@ def reached(
     ``head`` at ``cols`` and ``v`` among its candidates.  Returns, per head in
     first-seen order, the sorted distinct candidates and the indices of the
     groups that name it; a head named by one group gets that group's list
-    itself.  ``derive_groups`` lists every child key by it.
+    itself.  ``derive_index`` lists every child key by it.
     """
     heads: dict[tuple[int, ...], list[int]] = {}
     lists = []
@@ -463,17 +456,5 @@ def build_index(q: JoinQuery, order: VariableOrder, db: Database) -> AccessIndex
         groups, candidates[i] = candidates[i], None  # released as taken
         return groups if keys is None or len(keys) == len(groups) else {key: groups[key] for key in keys}
 
-    tables, total, rows = count_groups(decomp, *derive_groups(decomp, take))
-
-    return AccessIndex(
-        decomp=decomp,
-        dictionary=db.dictionary,
-        var_types=var_types,
-        tables=tables,
-        total_count=total,
-        stats={
-            "multiatom_joins": multiatom_joins,
-            "bag_rows": rows,
-            "iota": str(decomp.iota),
-        },
-    )
+    stats = {"multiatom_joins": multiatom_joins, "iota": str(decomp.iota)}
+    return derive_index(decomp, take, db.dictionary, var_types, stats)

@@ -2,10 +2,11 @@
 
 Only each group's sorted candidates are stored.  The bag forest comes from
 ``decompose`` on the stored query, solving no LP, and implies every group key
-(below); load then runs the build's own two passes: ``access.derive_groups``
-lists the keys, taking each bag's candidate lists from the file, and
-``access.count_groups`` recomputes the prefix sums, the answer count and the
-bag rows, reading each group's child totals by position.
+(below); load then hands the file to the build's own derivation,
+``access.derive_index``: its roots-down pass lists the keys, taking each
+bag's candidate lists from the file, and its count recomputes the prefix
+sums, the answer count and the bag rows, reading each group's child totals
+by position.  Load builds no table itself.
 
 Layout, in stream order (all integers LEB128 unsigned varints unless noted):
 
@@ -31,7 +32,7 @@ checksum                     CRC-32 of everything before it, 4 bytes, little-end
 Why no key is stored: a child bag's keys are exactly those that
 ``access.reached`` names from its parent's groups.  Build drops, leaves up,
 each candidate with no group in some child bag, and then lists every
-child's keys by ``reached`` roots down (``derive_groups``), taking only the
+child's keys by ``reached`` roots down (``derive_index``), taking only the
 groups they name.  Load lists them by the same pass, in saved order, heads
 sorted, and a root's only key is ``()``.  Each derived key gets a group of
 at least one candidate, so no candidate lacks a child group and no group is
@@ -39,15 +40,15 @@ unreached: load drops nothing.  It rejects what the format can still get
 wrong: an empty group, a zero gap, a candidate outside its pool, a root
 with more than one group, truncation and trailing bytes.
 
-Counting by position: as ``derive_groups`` lists a child's keys it notes,
+Counting by position: as ``derive_index`` lists a child's keys it notes,
 per parent group, where that group's child groups sit in the child's key
 order.  A head that one parent group names covers a contiguous run of child
 groups in that group's candidate order, so the group's child totals are one
 slice.  A head that several parent groups share covers the run of its
-sorted union; each of those groups maps its candidates to totals through
-that run, by value.  Build and load both count after that pass, which drops
-nothing, so every position holds through the count, which makes no key
-lookup.
+sorted union, which ``reached`` has built; the span keeps the run's start
+and that union, and each of those groups maps its candidates to the run's
+totals by value.  The count follows that pass, which drops nothing, so
+every position holds through the count, which makes no key lookup.
 
 A stream of values below 0x80 is its own bytes: save writes it with one
 ``bytes`` call, and load takes it as one slice when its next n bytes are all
@@ -64,7 +65,7 @@ from itertools import accumulate, chain
 from operator import itemgetter, sub
 from pathlib import Path
 
-from .access import AccessIndex, count_groups, derive_groups
+from .access import AccessIndex, derive_index
 from .decomposition import decompose
 from .errors import InputError
 from .query import format_query, parse_query
@@ -265,16 +266,7 @@ def _decode(blob: bytes) -> AccessIndex:
             raise InputError(f"bag {i} candidate code outside the {var_type} pool")
         return groups
 
-    candidates, positions = derive_groups(decomp, take)
+    ix = derive_index(decomp, take, dictionary, var_types, {})
     if not r.at_end():
         raise InputError("trailing bytes after index payload")
-
-    tables, total, rows = count_groups(decomp, candidates, positions)
-    return AccessIndex(
-        decomp=decomp,
-        dictionary=dictionary,
-        var_types=var_types,
-        tables=tables,
-        total_count=total,
-        stats={"bag_rows": rows},
-    )
+    return ix

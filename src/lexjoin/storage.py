@@ -124,7 +124,10 @@ class ValueDictionary:
             raise KeyError(f"value {value!r} ({type_name}) not in dictionary") from None
 
     def try_encode(self, type_name: str, value) -> int | None:
-        return self._codes.get(type_name, {}).get(value)
+        try:
+            return self._codes.get(type_name, {}).get(value)
+        except TypeError:  # an unhashable value, such as a list, is in no dictionary
+            return None
 
     def decode(self, code: int):
         return self._values[code]

@@ -60,6 +60,11 @@ def test_code_calls_reject_malformed_arguments():
         ix.rank_codes(["a", "b"])
     with pytest.raises(InputError, match="answer codes must be integers"):
         ix.prefix_range(["a"])
+    q, order = parse_query("Q(x) :- R(x).")
+    empty = build_index(q, order, build_database({"R": (["int"], [])}))
+    for call in (empty.prefix_range, empty.rank_codes):
+        with pytest.raises(InputError, match="answer codes must be integers"):
+            call(["a"])
 
 
 def test_empty_result_count_zero():
@@ -118,6 +123,8 @@ def test_rank_rejects_non_answers():
         ix.rank((1, 99))
     with pytest.raises(NotAnAnswerError):
         ix.rank((99, 1))
+    with pytest.raises(NotAnAnswerError):  # no dictionary holds an unhashable value
+        ix.rank(([1], 1))
     with pytest.raises(InputError):
         ix.rank((1,))
 
@@ -225,6 +232,7 @@ def test_quantile_endpoints_and_median():
         pytest.param(lambda ix: ix.quantile(f"1e-{sys.get_int_max_str_digits() + 1}"), id="quantile-exponent"),
         pytest.param(lambda ix: ix.sample_without_replacement(1.5, 0), id="sample-float"),
         pytest.param(lambda ix: ix.sample_without_replacement("2", 0), id="sample-text"),
+        pytest.param(lambda ix: ix.sample_without_replacement(1, [1]), id="sample-seed"),
         pytest.param(lambda ix: ix.enumerate_range(-1, 5), id="enumerate-negative-uniterated"),
     ],
 )
@@ -249,6 +257,7 @@ def test_membership_accepts_answers_and_rejects_others():
     for row in list(expected)[:50]:
         assert ix.test_membership(row)
     assert not ix.test_membership(tuple([999] * len(q.variables)))
+    assert not ix.test_membership(({2: 2},) * len(q.variables))  # no dictionary holds an unhashable value
     rng = random.Random(0)
     for _ in range(50):
         t = tuple(rng.randrange(5) for _ in q.variables)
@@ -258,8 +267,8 @@ def test_membership_accepts_answers_and_rejects_others():
 def test_counting_consistency_at_the_top_level():
     q, order, db, ix = built_random(8, max_vars=5, max_atoms=5)
     total = 1
-    for i in ix.roots:
-        total *= ix.tables[i].total(())
+    for i in ix.roots:  # a root has one group or none
+        total *= sum(prefix[-1] for _, prefix in ix.tables[i].groups.values())
     assert total == ix.count()
 
 
@@ -308,7 +317,7 @@ def assert_weights_count_answer_projections(ix, rows):
 def test_count_and_prune_match_per_candidate_reference(monkeypatch):
     # Build drops a candidate with no group in some child bag, leaves up, and
     # takes only the child groups its parents reach, roots down.  Both occur.
-    real_filter, real_derive, dropped, pruned = access._in_child, access.derive_groups, [], []
+    real_filter, real_derive, dropped, pruned = access._in_child, access.derive_index, [], []
 
     def filter_spy(groups, cols, child):
         kept = real_filter(groups, cols, child)
@@ -324,7 +333,7 @@ def test_count_and_prune_match_per_candidate_reference(monkeypatch):
         return whole_then_reached
 
     monkeypatch.setattr(access, "_in_child", filter_spy)
-    monkeypatch.setattr(access, "derive_groups", lambda decomp, take: real_derive(decomp, take_spy(take)))
+    monkeypatch.setattr(access, "derive_index", lambda decomp, take, *rest: real_derive(decomp, take_spy(take), *rest))
     checked = builds_dropping = builds_pruning = 0
     for seed in range(150):
         dropped.clear()

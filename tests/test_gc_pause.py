@@ -96,7 +96,7 @@ def paused_calls(tmp_path):
     index_io.save_index(access.build_index(q, order, db), index_path)
     return [
         (storage, "_read_columns", lambda: storage.load(manifest)),
-        (access, "count_groups", lambda: access.build_index(q, order, db)),
+        (access, "derive_index", lambda: access.build_index(q, order, db)),
         (index_io, "_decode", lambda: index_io.load_index(index_path)),
     ]
 

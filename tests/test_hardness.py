@@ -90,6 +90,7 @@ def test_prefix_block_rejects_more_values_than_variables():
     assert hd.prefix_block(ix, (1, 1, 7)) == (0, 1)
     with pytest.raises(InputError, match="expected at most 3 values, got 4"):
         hd.prefix_block(ix, (1, 1, 1, 1))
+    assert hd.prefix_block(ix, (1, [1])) == (0, 0)  # no dictionary holds an unhashable value
 
 
 @pytest.mark.parametrize("k", [2, 3])
