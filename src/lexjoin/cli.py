@@ -5,6 +5,13 @@ test, oracle, gen.  Exit codes: 0 success, 2 bad input, 3 out of bounds or
 not an answer, 4 internal invariant failure.  Set LEXJOIN_LOG to a level
 name (DEBUG, INFO, ...) for diagnostics on stderr.  All randomized commands
 are fully determined by --seed.
+
+The seven index subcommands (access through test) are each one call on the
+loaded index, and print in one of three shapes.  Rows (access, enum, sample,
+quantile, and oracle) are CSV lines, or with --format json one object
+{"schema": 1, "rows": [...]}.  count and rank print a decimal, or with
+--format json {"schema": 1, "count": "<n>"} (or "rank"), the number as a
+string.  test prints true or false and takes no --format.
 """
 
 from __future__ import annotations
@@ -69,9 +76,7 @@ def _emit_rows(rows, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps({"schema": SCHEMA_VERSION, "rows": [list(r) for r in rows]}))
         return
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    for row in rows:
-        writer.writerow(row)
+    csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
 
 
 def cmd_analyze(args) -> int:
@@ -156,54 +161,45 @@ def cmd_build(args) -> int:
     return 0
 
 
-def cmd_access(args) -> int:
-    ix = index_io.load_index(args.index)
-    _emit_rows([ix.access(args.j)], args.format)
-    return 0
+# The index subcommands, each one call on the loaded index: name, help, the arguments
+# after -i/--index as (flags, keywords), and the call.  The call returns rows, a number
+# (count, rank) or a verdict (test), and cmd_index prints each in its own shape.
+_FORMAT = (("--format",), {"choices": ["csv", "json"], "default": "csv"})
+_INDEX_COMMANDS = (
+    ("access", "fetch the j-th answer (0-based)",
+     [(("-j",), {"type": int, "required": True}), _FORMAT],
+     lambda ix, a: [ix.access(a.j)]),
+    ("count", "number of answers", [_FORMAT], lambda ix, a: ix.count()),
+    ("rank", "position of an answer tuple",
+     [(("-t", "--tuple"), {"required": True, "help": "comma-separated values, head order"}),
+      _FORMAT],
+     lambda ix, a: ix.rank(_parse_tuple(ix, a.tuple))),
+    ("enum", "stream answers from --from (inclusive) to --to (exclusive)",
+     [(("--from",), {"dest": "frm", "type": int, "default": 0}),
+      (("--to",), {"type": int}), _FORMAT],
+     lambda ix, a: ix.enumerate_range(a.frm, ix.count() if a.to is None else a.to)),
+    ("sample", "sample n distinct answers uniformly",
+     [(("-n",), {"type": int, "required": True}),
+      (("--seed",), {"type": int, "default": 0}), _FORMAT],
+     lambda ix, a: ix.sample_without_replacement(a.n, a.seed)),
+    ("quantile", "answer at rank floor(q * (count - 1))",
+     [(("-q",), {"required": True, "help": "rational in [0, 1], e.g. 1/2 or 0.5"}), _FORMAT],
+     lambda ix, a: [ix.quantile(a.q)]),
+    ("test", "is the tuple an answer?", [(("-t", "--tuple"), {"required": True})],
+     lambda ix, a: ix.test_membership(_parse_tuple(ix, a.tuple))),
+)
 
 
-def cmd_count(args) -> int:
+def cmd_index(args) -> int:
     ix = index_io.load_index(args.index)
-    if args.format == "json":
-        print(json.dumps({"schema": SCHEMA_VERSION, "count": str(ix.count())}))
+    result = args.call(ix, args)
+    if isinstance(result, bool):
+        print("true" if result else "false")
+    elif isinstance(result, int):
+        as_json = json.dumps({"schema": SCHEMA_VERSION, args.command: str(result)})
+        print(as_json if args.format == "json" else result)
     else:
-        print(ix.count())
-    return 0
-
-
-def cmd_rank(args) -> int:
-    ix = index_io.load_index(args.index)
-    j = ix.rank(_parse_tuple(ix, args.tuple))
-    if args.format == "json":
-        print(json.dumps({"schema": SCHEMA_VERSION, "rank": str(j)}))
-    else:
-        print(j)
-    return 0
-
-
-def cmd_enum(args) -> int:
-    ix = index_io.load_index(args.index)
-    stop = ix.count() if args.to is None else args.to
-    _emit_rows(ix.enumerate_range(args.frm, stop), args.format)
-    return 0
-
-
-def cmd_sample(args) -> int:
-    ix = index_io.load_index(args.index)
-    _emit_rows(ix.sample_without_replacement(args.n, args.seed), args.format)
-    return 0
-
-
-def cmd_quantile(args) -> int:
-    ix = index_io.load_index(args.index)
-    _emit_rows([ix.quantile(args.q)], args.format)
-    return 0
-
-
-def cmd_test(args) -> int:
-    ix = index_io.load_index(args.index)
-    verdict = ix.test_membership(_parse_tuple(ix, args.tuple))
-    print("true" if verdict else "false")
+        _emit_rows(result, args.format)
     return 0
 
 
@@ -221,9 +217,7 @@ def cmd_oracle(args) -> int:
 
 def _write_csv(path: Path, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        for row in rows:
-            writer.writerow(row)
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def _write_instance(outdir: Path, q, relations: dict[str, list[tuple[int, ...]]]) -> None:
@@ -333,10 +327,6 @@ def cmd_gen(args) -> int:
 # wiring
 
 
-def _add_format(p):
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lexjoin",
@@ -355,52 +345,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(fn=cmd_build)
 
-    p = sub.add_parser("access", help="fetch the j-th answer (0-based)")
-    p.add_argument("-i", "--index", required=True)
-    p.add_argument("-j", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(fn=cmd_access)
-
-    p = sub.add_parser("count", help="number of answers")
-    p.add_argument("-i", "--index", required=True)
-    _add_format(p)
-    p.set_defaults(fn=cmd_count)
-
-    p = sub.add_parser("rank", help="position of an answer tuple")
-    p.add_argument("-i", "--index", required=True)
-    p.add_argument("-t", "--tuple", required=True, help="comma-separated values, head order")
-    _add_format(p)
-    p.set_defaults(fn=cmd_rank)
-
-    p = sub.add_parser("enum", help="stream answers from --from (inclusive) to --to (exclusive)")
-    p.add_argument("-i", "--index", required=True)
-    p.add_argument("--from", dest="frm", type=int, default=0)
-    p.add_argument("--to", dest="to", type=int, default=None)
-    _add_format(p)
-    p.set_defaults(fn=cmd_enum)
-
-    p = sub.add_parser("sample", help="sample n distinct answers uniformly")
-    p.add_argument("-i", "--index", required=True)
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    _add_format(p)
-    p.set_defaults(fn=cmd_sample)
-
-    p = sub.add_parser("quantile", help="answer at rank floor(q * (count - 1))")
-    p.add_argument("-i", "--index", required=True)
-    p.add_argument("-q", required=True, help="rational in [0, 1], e.g. 1/2 or 0.5")
-    _add_format(p)
-    p.set_defaults(fn=cmd_quantile)
-
-    p = sub.add_parser("test", help="is the tuple an answer?")
-    p.add_argument("-i", "--index", required=True)
-    p.add_argument("-t", "--tuple", required=True)
-    p.set_defaults(fn=cmd_test)
+    for name, help_, arguments, call in _INDEX_COMMANDS:
+        p = sub.add_parser(name, help=help_)
+        for flags, keywords in ((("-i", "--index"), {"required": True}), *arguments):
+            p.add_argument(*flags, **keywords)
+        p.set_defaults(fn=cmd_index, call=call)
 
     p = sub.add_parser("oracle", help="materialize the sorted result by brute force (test scale)")
     p.add_argument("-q", "--query", required=True)
     p.add_argument("-m", "--manifest", required=True)
-    _add_format(p)
+    p.add_argument(*_FORMAT[0], **_FORMAT[1])
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("gen", help="emit benchmark instance files")
@@ -422,6 +376,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Checked in order, so each subclass comes before LexjoinError.
+_EXITS = (
+    (OutOfBoundsError, "out of bounds", 3),
+    (NotAnAnswerError, "not an answer", 3),
+    (InputError, "error", 2),
+    (InternalError, "internal error", 4),
+    (LexjoinError, "error", 2),
+)
+
+
 def main(argv=None) -> int:
     level = os.environ.get("LEXJOIN_LOG")
     if level:
@@ -439,21 +403,10 @@ def main(argv=None) -> int:
         blamed.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.fn(args)
-    except OutOfBoundsError as exc:
-        print(f"out of bounds: {exc}", file=sys.stderr)
-        return 3
-    except NotAnAnswerError as exc:
-        print(f"not an answer: {exc}", file=sys.stderr)
-        return 3
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InternalError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 4
     except LexjoinError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        prefix, code = next((p, c) for cls, p, c in _EXITS if isinstance(exc, cls))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -596,6 +596,9 @@ def unique_via_bit_probing(
 # instance generators and graph file IO
 
 
+MAX_QUERY_COMBINATIONS = 10**5
+
+
 def random_set_family(
     rng: random.Random,
     k: int,
@@ -604,11 +607,21 @@ def random_set_family(
     max_set_size: int,
     queries: int | None = None,
 ) -> SetFamilyInstance:
-    """Random instance; queries default to every index combination."""
+    """Random instance; queries default to every index combination.
+
+    The default lists all ``sets_per_family ** k`` combinations, so above
+    MAX_QUERY_COMBINATIONS of them it raises InputError before drawing
+    anything: pass ``queries`` to draw that many at random instead.
+    """
     if min(sets_per_family, universe_size, max_set_size, queries or 0) < 0:
         raise InputError("set counts, sizes and query counts must be non-negative")
     if queries and not sets_per_family:
         raise InputError("cannot draw queries from families without sets")
+    if queries is None and sets_per_family**k > MAX_QUERY_COMBINATIONS:
+        raise InputError(
+            f"every index combination is {sets_per_family**k} queries, more than "
+            f"{MAX_QUERY_COMBINATIONS}: pass queries to draw that many at random"
+        )
     universe = tuple(range(universe_size))
     families = tuple(
         tuple(

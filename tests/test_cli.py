@@ -8,7 +8,13 @@ import pytest
 
 from lexjoin import cli
 from lexjoin.cli import main
-from lexjoin.errors import InternalError
+from lexjoin.errors import (
+    InputError,
+    InternalError,
+    LexjoinError,
+    NotAnAnswerError,
+    OutOfBoundsError,
+)
 from tests import src_env
 
 FIVE_TEXT = "Q(x1,x2,x3,x4,x5) :- R1(x1,x5), R2(x2,x4), R3(x3,x4), R4(x3,x5).\n"
@@ -97,15 +103,27 @@ def test_analyze_text_output(tmp_path, capsys):
     assert "disruptive trios: none" in out.splitlines()
 
 
-def test_analyze_internal_error_exit_4(tmp_path, capsys, monkeypatch):
+# main's exit table: per error class, the exit code and the stderr prefix.
+EXITS = {
+    OutOfBoundsError: (3, "out of bounds: "),
+    NotAnAnswerError: (3, "not an answer: "),
+    InputError: (2, "error: "),
+    InternalError: (4, "internal error: "),
+    LexjoinError: (2, "error: "),
+}
+
+
+@pytest.mark.parametrize("error", list(EXITS), ids=lambda error: error.__name__)
+def test_analyze_internal_error_exit_4(tmp_path, capsys, monkeypatch, error):
     def broken(q, order):
-        raise InternalError("invariant broken")
+        raise error("invariant broken")
 
     monkeypatch.setattr(cli, "decompose", broken)
     qfile = tmp_path / "q.jq"
     qfile.write_text("Q(x) :- R(x).\n")
     code, out, err = run(capsys, "analyze", qfile)
-    assert (code, out, err) == (4, "", "internal error: invariant broken\n")
+    exit_code, prefix = EXITS[error]
+    assert (code, out, err) == (exit_code, "", f"{prefix}invariant broken\n")
 
 
 def test_build_access_pipeline(workdir, capsys):
@@ -331,6 +349,80 @@ def test_count_format_text_exit_2(workdir, capsys):
     assert "invalid choice: 'text'" in capsys.readouterr().err
 
 
+_HELP = (
+    ("-h", "--help"), "help", None, "==SUPPRESS==", False, None, "show this help message and exit"
+)
+_INDEX = (("-i", "--index"), "index", None, None, True, None, None)
+_FORMAT = (("--format",), "format", None, "csv", False, ["csv", "json"], None)
+
+# Per index subcommand, its help and every action of its sub-parser as
+# (option strings, dest, type, default, required, choices, help).
+INDEX_SUBPARSERS = {
+    "access": (
+        "fetch the j-th answer (0-based)",
+        [_HELP, _INDEX, (("-j",), "j", int, None, True, None, None), _FORMAT],
+    ),
+    "count": ("number of answers", [_HELP, _INDEX, _FORMAT]),
+    "rank": (
+        "position of an answer tuple",
+        [
+            _HELP,
+            _INDEX,
+            (
+                ("-t", "--tuple"), "tuple", None, None, True, None,
+                "comma-separated values, head order",
+            ),
+            _FORMAT,
+        ],
+    ),
+    "enum": (
+        "stream answers from --from (inclusive) to --to (exclusive)",
+        [
+            _HELP,
+            _INDEX,
+            (("--from",), "frm", int, 0, False, None, None),
+            (("--to",), "to", int, None, False, None, None),
+            _FORMAT,
+        ],
+    ),
+    "sample": (
+        "sample n distinct answers uniformly",
+        [
+            _HELP,
+            _INDEX,
+            (("-n",), "n", int, None, True, None, None),
+            (("--seed",), "seed", int, 0, False, None, None),
+            _FORMAT,
+        ],
+    ),
+    "quantile": (
+        "answer at rank floor(q * (count - 1))",
+        [
+            _HELP,
+            _INDEX,
+            (("-q",), "q", None, None, True, None, "rational in [0, 1], e.g. 1/2 or 0.5"),
+            _FORMAT,
+        ],
+    ),
+    "test": (
+        "is the tuple an answer?",
+        [_HELP, _INDEX, (("-t", "--tuple"), "tuple", None, None, True, None, None)],
+    ),
+}
+
+
+def test_index_subparsers_keep_their_arguments():
+    # Actions, not -h text: Python 3.13 formats option help differently.
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    helps = {choice.dest: choice.help for choice in sub._choices_actions}
+    for name, (help_, actions) in INDEX_SUBPARSERS.items():
+        got = [
+            (tuple(a.option_strings), a.dest, a.type, a.default, a.required, a.choices, a.help)
+            for a in sub.choices[name]._actions
+        ]
+        assert (helps[name], got) == (help_, actions), name
+
+
 # Per family, the flags of its own that the determinism test passes.
 GEN_FLAGS = {
     "star": ["--k", "2", "--per-relation", "12"],
@@ -400,6 +492,10 @@ GEN_BAD_ARGS = {
     "setdisj-queries-without-sets": (
         ["setdisj", "--sets", "0", "--queries", "3"],
         "cannot draw queries from families without sets",
+    ),
+    "setdisj-too-many-combinations": (
+        ["setdisj", "--sets", "20", "--k", "4"],
+        "every index combination is 160000 queries, more than 100000: pass queries",
     ),
 }
 
