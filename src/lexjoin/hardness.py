@@ -12,6 +12,7 @@ instances, so runs are reproducible from a seed.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass, field
 from itertools import product
@@ -434,8 +435,11 @@ def interval_tuples(p: int, n: int, rho: float, k: int) -> Iterator[IntervalTupl
     """All (k+1)-tuples of about n**rho cells of [0, p) whose sum can hit 0 mod p.
 
     Tuples come in ``product`` order.  Filtering the whole product is enough:
-    a tuple costs a few additions, never an index build.
+    a tuple costs a few additions, never an index build.  rho must be a
+    finite real number, at least 0.
     """
+    if not (isinstance(rho, numbers.Real) and 0 <= rho < math.inf):
+        raise InputError(f"rho must be a finite real number at least 0, got {rho!r}")
     pieces = max(1, math.ceil(n**rho))
     cells = interval_partition(p, min(pieces, p))
     for chosen in product(cells, repeat=k + 1):
@@ -449,8 +453,32 @@ def interval_tuples(p: int, n: int, rho: float, k: int) -> Iterator[IntervalTupl
 
 
 def query_cap(k: int, n: int, rho: float) -> int:
-    """How many witnesses to request per intersection query."""
+    """How many witnesses to request per intersection query.
+
+    The exponent 1 - k * rho must not be negative: rho is a real number with
+    0 <= rho <= 1/k.
+    """
+    if not (isinstance(rho, numbers.Real) and 0 <= rho and k * rho <= 1):
+        raise InputError(f"rho must be a real number in [0, 1/{k}], got {rho!r}")
     return math.ceil(100 * 3**k * n ** (1 - k * rho))
+
+
+def weight_tables(g: WeightedCliqueInstance) -> tuple[dict, list]:
+    """A graph's first-k clique weights and its edge weights to the last part.
+
+    ``combos`` maps each combination of 1-based indices into the first k
+    parts to its clique weight; ``to_last[i][j - 1]`` maps each last-part
+    vertex u to the weight of its edge from the j-th vertex of part i + 1.
+    A combination and u form a clique of weight ``combos[combo]`` plus the k
+    entries for u (mod p in field mode).
+    """
+    *firsts, last = g.parts
+    combos = {
+        combo: g.clique_weight([firsts[i][j - 1] for i, j in enumerate(combo)])
+        for combo in product(*(range(1, len(part) + 1) for part in firsts))
+    }
+    to_last = [[{u: g.weight(v, u) for u in last} for v in part] for part in firsts]
+    return combos, to_last
 
 
 def build_intersection_instances(
@@ -460,7 +488,8 @@ def build_intersection_instances(
 
     Family i holds one set per vertex of part i: the last-part vertices whose
     connecting edge weight falls in the tuple's cell i.  Queries are the
-    first-k vertex combinations whose mutual weight falls in cell 0.
+    first-k vertex combinations whose mutual weight falls in cell 0.  Both
+    filter the graph's :func:`weight_tables`, built once.
     """
     if g.p is None:
         raise InputError("instance must be in field mode (weights mod p)")
@@ -469,20 +498,15 @@ def build_intersection_instances(
         raise InputError("need at least two parts")
     n = g.n
     cap = query_cap(k, n, rho)
-    *firsts, last = g.parts
-    combos = [
-        (combo, g.clique_weight([firsts[i][j - 1] for i, j in enumerate(combo)]))
-        for combo in product(*(range(1, len(part) + 1) for part in firsts))
-    ]
-    to_last = [[[(u, g.weight(v, u)) for u in last] for v in part] for part in firsts]
+    combos, to_last = weight_tables(g)
     for tup in interval_tuples(g.p, n, rho, k):
         (lo0, hi0), *arms = tup.intervals
         families = tuple(
-            tuple(frozenset(u for u, w in edges if lo <= w < hi) for edges in part_edges)
+            tuple(frozenset(u for u, w in edges.items() if lo <= w < hi) for edges in part_edges)
             for part_edges, (lo, hi) in zip(to_last, arms)
         )
-        queries = tuple(combo for combo, w in combos if lo0 <= w < hi0)
-        yield SetFamilyInstance(tuple(last), families, queries), cap
+        queries = tuple(combo for combo, w in combos.items() if lo0 <= w < hi0)
+        yield SetFamilyInstance(g.parts[k], families, queries), cap
 
 
 class BruteForceBackend:
@@ -500,7 +524,8 @@ class DirectAccessBackend:
 
     The instance is encoded as a star-query database; a query's witnesses
     are the contiguous block of answers sharing the index prefix, located by
-    one index walk and read off with direct-access calls.
+    one index walk.  Each witness is one ``access_codes`` call, of which only
+    the last code, z's, is decoded.
     """
 
     def prepare(self, inst: SetFamilyInstance) -> AccessIndex:
@@ -509,7 +534,8 @@ class DirectAccessBackend:
 
     def intersect(self, handle: AccessIndex, query: Sequence[int], limit: int) -> list[int]:
         lo, hi = prefix_block(handle, tuple(query))
-        return [handle.access(j)[-1] for j in range(lo, min(hi, lo + limit))]
+        decode = handle.dictionary.decode
+        return [decode(handle.access_codes(j)[-1]) for j in range(lo, min(hi, lo + limit))]
 
 
 def find_zero_clique_via_reduction(
@@ -520,8 +546,12 @@ def find_zero_clique_via_reduction(
 ) -> tuple[int, ...] | None:
     """Search for a zero clique through the set-intersection reduction.
 
-    Any returned clique is re-verified against the original integer weights,
-    so the answer is one-sided: 'found' is always correct, while a present
+    A witness u of query (j_1, ..., j_k) is a candidate clique.  It is
+    checked against :func:`weight_tables` of the original integer weights,
+    built once per graph: the query's clique weight plus its k edge weights
+    to u must sum to 0.  Only a candidate that passes becomes a vertex tuple,
+    and it is confirmed with ``g.is_zero_clique`` before it is returned, so
+    the answer is one-sided: 'found' is always correct, while a present
     zero clique is missed only with small probability.  rho defaults to
     1 / (2k).
     """
@@ -539,15 +569,15 @@ def find_zero_clique_via_reduction(
     bound = max(1, max((abs(w) for w in g.weights.values()), default=1))
     p = sample_prime(10 * (k + 1) ** 2 * bound, 100 * (k + 1) ** 2 * bound, rng)
     randomized, _ = randomize_weights(g, p, rng, VARIANT_INTERSECTION)
-    firsts = g.parts[:k]
+    combos, to_last = weight_tables(g)
     for inst, cap in build_intersection_instances(randomized, rho):
         handle = backend.prepare(inst)
         for query in inst.queries:
-            vertices = [firsts[i][j - 1] for i, j in enumerate(query)]
             for u in backend.intersect(handle, query, cap):
-                candidate = tuple(vertices) + (u,)
-                if g.is_zero_clique(candidate):
-                    return candidate
+                if combos[query] + sum(to_last[i][j - 1][u] for i, j in enumerate(query)) == 0:
+                    candidate = tuple(g.parts[i][j - 1] for i, j in enumerate(query)) + (u,)
+                    if g.is_zero_clique(candidate):
+                        return candidate
     return None
 
 
@@ -597,6 +627,7 @@ def unique_via_bit_probing(
 
 
 MAX_QUERY_COMBINATIONS = 10**5
+MAX_PARTITE_EDGES = 10**5
 
 
 def random_set_family(
@@ -648,11 +679,16 @@ def random_partite_instance(
 ) -> tuple[WeightedCliqueInstance, tuple[int, ...] | None]:
     """Complete multipartite instance with uniform weights, optionally planted.
 
+    The graph has ``parts choose 2`` times ``part_size ** 2`` edges; above
+    MAX_PARTITE_EDGES of them it raises InputError before drawing anything.
     Planting picks one vertex per part and rewrites a single edge so the
     clique sums to zero.
     """
     if parts < 0 or part_size < 0 or weight_bound < 0:
         raise InputError("part count, part size and weight bound must be non-negative")
+    edges = parts * (parts - 1) // 2 * part_size**2
+    if edges > MAX_PARTITE_EDGES:
+        raise InputError(f"the graph would have {edges} edges, more than {MAX_PARTITE_EDGES}")
     if plant and (parts < 2 or part_size == 0):
         raise InputError("planting a clique needs at least two non-empty parts")
     part_lists = tuple(

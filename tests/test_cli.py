@@ -487,6 +487,10 @@ GEN_BAD_ARGS = {
         "at least two non-empty parts",
     ),
     "zeroclique-negative-weight-bound": (["zeroclique", "--weight-bound", "-1"], "non-negative"),
+    "zeroclique-too-many-edges": (
+        ["zeroclique", "--part-size", "183"],
+        "the graph would have 100467 edges, more than 100000",
+    ),
     "setdisj-negative-max-set-size": (["setdisj", "--max-set-size", "-1"], "non-negative"),
     "setdisj-negative-universe": (["setdisj", "--universe", "-1"], "non-negative"),
     "setdisj-queries-without-sets": (

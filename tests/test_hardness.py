@@ -290,6 +290,12 @@ def test_interval_tuples_complete_for_zero_sums(p, n, rho, k):
     assert set(tuples) == expected
 
 
+@pytest.mark.parametrize("rho", [math.nan, "a", math.inf, -0.1])
+def test_interval_tuples_rejects_bad_rho(rho):
+    with pytest.raises(InputError, match="rho must be"):
+        next(hd.interval_tuples(101, 16, rho, 2))
+
+
 def test_interval_tuple_count_bound():
     for n, rho, k in [(16, 0.5, 2), (27, 1 / 3, 3), (36, 0.25, 2)]:
         p = hd.sample_prime(10**4, 10**5, random.Random(1))
@@ -361,6 +367,14 @@ def test_reduction_rejects_field_mode():
         hd.find_zero_clique_via_reduction(reduced)
 
 
+@pytest.mark.parametrize("rho", [math.nan, "a", math.inf, 1 / 2 + 0.01])
+def test_reduction_rejects_bad_rho(rho):
+    # 1/k + 0.01 would make query_cap's exponent 1 - k * rho negative.
+    g, _ = small_instance()
+    with pytest.raises(InputError, match="rho must be"):
+        hd.find_zero_clique_via_reduction(g, rho=rho)
+
+
 # SHA-256 over every intersection instance of _digest_graphs and both
 # backends' reduction results, recorded with the per-tuple weight loops and
 # the arc-walk interval tuples that the per-graph tables replaced.
@@ -394,6 +408,37 @@ def test_reduction_stream_digest():
             found = hd.find_zero_clique_via_reduction(g, rng=random.Random(seed), backend=backend)
             digest.update(repr(found).encode())
     assert digest.hexdigest() == REDUCTION_DIGEST
+
+
+def test_candidate_check_matches_is_zero_clique():
+    # The reduction checks each witness against its weight tables and calls
+    # is_zero_clique only on a candidate that passes.  A backend returning the
+    # whole last part for every query, and an is_zero_clique that records its
+    # candidate and says no, expose that verdict on every combination and
+    # every last-part vertex.
+    passed, asked = set(), set()
+
+    class Recording(hd.WeightedCliqueInstance):
+        def is_zero_clique(self, vertices):
+            passed.add(tuple(vertices))
+            return False
+
+    class EveryVertex:
+        def prepare(self, inst):
+            return inst
+
+        def intersect(self, inst, query, limit):
+            asked.add(query)
+            return inst.universe
+
+    for g, seed in _digest_graphs():
+        passed.clear()
+        asked.clear()
+        spy = Recording(g.parts, g.weights)
+        found = hd.find_zero_clique_via_reduction(spy, rng=random.Random(seed), backend=EveryVertex())
+        assert found is None
+        assert asked == set(product(*(range(1, len(part) + 1) for part in g.parts[:-1])))
+        assert passed == {c for c in product(*g.parts) if g.is_zero_clique(c)}
 
 
 # --------------------------------------------------------------------- #
