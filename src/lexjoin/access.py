@@ -32,12 +32,15 @@ An access then walks the variables in order.  At each variable the pending
 groups (one per bag whose interface is fully assigned but whose variable is
 not) partition the remaining answers into a product; choosing the value
 block containing the residual index is one binary search over the group's
-prefix sums, scaled by the product of the other pending group totals.
+prefix sums, scaled by the product of the other pending group totals.  The
+walk holds each bag's group by its position, roots at 0, and no interface
+key: the chosen candidate's index, or its place in a shared head's union,
+read from the span ``derive_index`` kept, gives each child's position.
 ``prefix_range`` runs the same walk with the values given, stopped after the
 first w variables: the contiguous block of answers that share a w-value
 prefix.  Rank is that walk over every variable and returns the block's
 start; membership asks whether the block is non-empty.  Built and loaded
-indexes answer both the same way, from the bags alone.
+indexes answer both the same way, from the groups and spans alone.
 Counts are arbitrary-precision throughout: answer counts reach |D|^(number
 of variables) and would overflow any fixed width.
 
@@ -65,6 +68,7 @@ from .storage import Database
 from .wcoj import SubQuery, _collapse_repeats, generic_join
 
 Groups = dict[tuple[int, ...], list[int]]  # interface key -> sorted candidates, keys in order
+Span = int | tuple[int, list[int]]  # where a parent group's child groups sit: see derive_index
 
 
 @dataclass
@@ -89,9 +93,11 @@ class AccessIndex:
     var_types: dict[str, str]
     tables: tuple[GroupTable, ...]
     total_count: int
+    spans: tuple[list[Span] | None, ...]  # per child bag, one span per parent group; None at a root
     stats: dict = field(default_factory=dict)
 
-    # Copied from decomp in __post_init__, so the walks read them directly.
+    # Copied from decomp in __post_init__.  The walks read _walk: per bag, its
+    # (candidates, prefix) groups as a list in key order and its children's spans.
     query: JoinQuery = field(init=False)
     order: VariableOrder = field(init=False)
     bags: tuple[tuple[str, ...], ...] = field(init=False)
@@ -104,6 +110,10 @@ class AccessIndex:
         self.query, self.order = d.query, d.order
         self.bags, self.links, self.roots = d.bags, d.links, d.roots
         self.head_cols = tuple(self.order.position(v) for v in self.query.variables)
+        self._walk = tuple(
+            (list(table.groups.values()), tuple((c, self.spans[c]) for c, _ in links))
+            for table, links in zip(self.tables, self.links)
+        )
 
     # ------------------------------------------------------------------ #
     # counting / access / rank
@@ -120,21 +130,19 @@ class AccessIndex:
         r = j
         live = self.total_count
         n = len(self.bags)
-        keys: list[tuple[int, ...] | None] = [None] * n
-        for root in self.roots:
-            keys[root] = ()
-        assignment = [0] * n
-        for i in range(n):
-            key = keys[i]
-            values, prefix = self.tables[i].groups[key]
+        at, assignment = [0] * n, [0] * n  # at: each bag's group position, set by its parent; roots at 0
+        for i, (groups, kids) in enumerate(self._walk):
+            g = at[i]
+            values, prefix = groups[g]
             block = live // prefix[-1]
             idx = bisect_right(prefix, r // block)
             below = prefix[idx - 1] if idx else 0
             r -= block * below
             value = assignment[i] = values[idx]
             live = block * (prefix[idx] - below)
-            for c, cols in self.links[i]:
-                keys[c] = (*map(key.__getitem__, cols), value)
+            for c, spans in kids:
+                span = spans[g]
+                at[c] = span + idx if type(span) is int else span[0] + bisect_left(span[1], value)
         return tuple(assignment)
 
     def access(self, j: int) -> tuple:
@@ -145,7 +153,7 @@ class AccessIndex:
 
     def rank_codes(self, codes: Sequence[int]) -> int:
         """Position of an encoded answer (order positions); inverse of access_codes."""
-        if len(codes) != len(self.bags):
+        if value_count(codes) != len(self.bags):
             raise InputError(f"expected {len(self.bags)} values, got {len(codes)}")
         start, stop = self.prefix_range(codes)
         if start == stop:
@@ -160,7 +168,7 @@ class AccessIndex:
         the range is empty and sits at the prefix's insertion point.
         """
         n = len(self.bags)
-        if len(codes) > n:
+        if value_count(codes) > n:
             raise InputError(f"expected at most {n} values, got {len(codes)}")
         r = 0
         live = self.total_count
@@ -168,28 +176,26 @@ class AccessIndex:
             if not all(isinstance(code, int) for code in codes):
                 raise InputError("answer codes must be integers")
             return (0, 0)
-        keys: list[tuple[int, ...] | None] = [None] * n
-        for root in self.roots:
-            keys[root] = ()
-        try:
-            for i, code in enumerate(codes):
-                key = keys[i]
-                values, prefix = self.tables[i].groups[key]
-                idx = bisect_left(values, code)
-                block = live // prefix[-1]
-                below = prefix[idx - 1] if idx else 0
-                r += block * below
-                if idx == len(values) or values[idx] != code:
-                    return (r, r)
-                live = block * (prefix[idx] - below)
-                for c, cols in self.links[i]:
-                    keys[c] = (*map(key.__getitem__, cols), code)
-        except TypeError:  # bisect compared a code that is not an int
-            raise InputError("answer codes must be integers") from None
+        at = [0] * n
+        for i, (code, (groups, kids)) in enumerate(zip(codes, self._walk)):
+            if not isinstance(code, int):
+                raise InputError("answer codes must be integers")
+            g = at[i]
+            values, prefix = groups[g]
+            idx = bisect_left(values, code)
+            block = live // prefix[-1]
+            below = prefix[idx - 1] if idx else 0
+            r += block * below
+            if idx == len(values) or values[idx] != code:
+                return (r, r)
+            live = block * (prefix[idx] - below)
+            for c, spans in kids:
+                span = spans[g]
+                at[c] = span + idx if type(span) is int else span[0] + bisect_left(span[1], code)
         return (r, r + live)
 
     def _encode_head_tuple(self, t: Sequence) -> list[int] | None:
-        if len(t) != len(self.order.variables):
+        if value_count(t) != len(self.order.variables):
             raise InputError(f"expected {len(self.order.variables)} values, got {len(t)}")
         codes = [0] * len(t)
         for value, v, c in zip(t, self.query.variables, self.head_cols):
@@ -278,15 +284,16 @@ def derive_index(
     (heads sorted, then candidates), or for ``None`` at a root, whose only key
     is ``()``.  Build takes them from its filtered maps, load from the file.
     As it lists a child's keys, it notes per parent group where its child
-    groups sit: a ``slice`` when that group alone names its head, or the start
-    and sorted union of a head it shares.  Leaves up, each candidate then
-    weighs the product of its children's group totals, read at those
-    positions; nothing is dropped, so no position moves.  The index's stats
-    are ``stats`` and the bag rows.
+    groups sit, its span: the start of the run of child groups, one per
+    candidate, when that group alone names its head, or the start and sorted
+    union of a head it shares.  Leaves up, each candidate then weighs the
+    product of its children's group totals, read at those positions; nothing
+    is dropped, so no position moves.  The index keeps the spans for its
+    walks.  Its stats are ``stats`` and the bag rows.
     """
     n = len(decomp.bags)
     keys: list[list[tuple[int, ...]] | None] = [None] * n  # set parents first, released as taken
-    spans: list[list[slice | tuple[int, list[int]]] | None] = [None] * n
+    spans: list[list[Span] | None] = [None] * n
     candidates: list[Groups | None] = []
     for i in range(n):
         groups, keys[i] = take(i, keys[i]), None
@@ -295,7 +302,7 @@ def derive_index(
             for head, (values, named_by) in sorted(reached(groups.items(), cols).items()):
                 at = len(keys[c])
                 keys[c] += map(head.__add__, zip(values))  # (*head, v) per candidate v
-                span = slice(at, len(keys[c])) if len(named_by) == 1 else (at, values)
+                span = at if len(named_by) == 1 else (at, values)
                 for g in named_by:
                     spans[c][g] = span
         candidates.append(groups)
@@ -323,19 +330,18 @@ def derive_index(
                 totals[i].append(prefix[-1])
         tables[i], rows[i] = GroupTable(groups), sum(sizes)
         for c, _ in decomp.links[i]:
-            totals[c] = spans[c] = None
+            totals[c] = None
     total = prod(sum(totals[i]) for i in decomp.roots)  # a root has one group or none
-    return AccessIndex(decomp, dictionary, var_types, tuple(tables), total, {**stats, "bag_rows": rows})
+    stats = {**stats, "bag_rows": rows}
+    return AccessIndex(decomp, dictionary, var_types, tuple(tables), total, tuple(spans), stats)
 
 
-def _weights_by_position(
-    parent: Groups, spans: list[slice | tuple[int, list[int]]], totals: list[int]
-) -> Iterator[list[int]]:
-    """Per parent group, its candidates' child totals: a slice, or a shared head's totals by value."""
+def _weights_by_position(parent: Groups, spans: list[Span], totals: list[int]) -> Iterator[list[int]]:
+    """Per parent group, its candidates' child totals: a run from a start, or a shared head's totals by value."""
     by_start: dict[int, Callable[[int], int]] = {}  # each shared head's totals by value, made once
     for span, values in zip(spans, parent.values()):
-        if type(span) is slice:
-            yield totals[span]
+        if type(span) is int:
+            yield totals[span : span + len(values)]
             continue
         at, union = span
         weight = by_start.get(at)
@@ -365,6 +371,14 @@ def reached(
         head: (lists[by[0]] if len(by) == 1 else sorted(set().union(*map(lists.__getitem__, by))), by)
         for head, by in heads.items()
     }
+
+
+def value_count(values: Sequence) -> int:
+    """len(values), or InputError for an argument with no length."""
+    try:
+        return len(values)
+    except TypeError:
+        raise InputError(f"expected a sequence of values, got {type(values).__name__}") from None
 
 
 def _in_child(groups: Groups, cols: Sequence[int], child: Groups) -> Groups:

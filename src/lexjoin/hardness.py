@@ -19,7 +19,7 @@ from itertools import product
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
-from .access import AccessIndex, build_index
+from .access import AccessIndex, build_index, value_count
 from .errors import InputError
 from .query import JoinQuery, VariableOrder
 from .storage import Database, build_database, read_text
@@ -141,7 +141,7 @@ def prefix_block(ix: AccessIndex, values: Sequence) -> tuple[int, int]:
     Answers sharing a fixed prefix on the leading variables of the order are
     contiguous; one index walk over the prefix's variables locates the block.
     """
-    if len(values) > len(ix.order.variables):
+    if value_count(values) > len(ix.order.variables):
         raise InputError(f"expected at most {len(ix.order.variables)} values, got {len(values)}")
     codes = []
     for i, v in enumerate(values):
@@ -155,7 +155,7 @@ def prefix_block(ix: AccessIndex, values: Sequence) -> tuple[int, int]:
 
 def projected_star_test(ix: AccessIndex, indices: Sequence[int]) -> bool:
     """Does some z complete (j_1, ..., j_k)?  One walk over the star's index."""
-    if len(indices) != len(ix.order.variables) - 1:
+    if value_count(indices) != len(ix.order.variables) - 1:
         raise InputError("expected one index per star arm")
     lo, hi = prefix_block(ix, indices)
     return hi > lo

@@ -3,6 +3,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction as F
+from functools import partial
 from itertools import permutations
 from operator import itemgetter
 
@@ -11,6 +12,7 @@ import pytest
 from lexjoin import VariableOrder, access, build_database, storage
 from lexjoin.access import build_index
 from lexjoin.errors import InputError, NotAnAnswerError, OutOfBoundsError
+from lexjoin.hardness import prefix_block
 from lexjoin.index_io import load_index, save_index
 from lexjoin.oracle import materialize_codes, materialize_sorted
 from lexjoin.query import parse_query
@@ -60,11 +62,19 @@ def test_code_calls_reject_malformed_arguments():
         ix.rank_codes(["a", "b"])
     with pytest.raises(InputError, match="answer codes must be integers"):
         ix.prefix_range(["a"])
+    for call, codes in ((ix.rank_codes, [0.0, 1.0]), (ix.prefix_range, [0.5])):
+        with pytest.raises(InputError, match="answer codes must be integers"):
+            call(codes)
     q, order = parse_query("Q(x) :- R(x).")
     empty = build_index(q, order, build_database({"R": (["int"], [])}))
     for call in (empty.prefix_range, empty.rank_codes):
         with pytest.raises(InputError, match="answer codes must be integers"):
             call(["a"])
+    for index in (ix, empty):
+        for call in (index.rank, index.rank_codes, index.prefix_range, index.test_membership, partial(prefix_block, index)):
+            for arg in (5, None):
+                with pytest.raises(InputError, match="expected a sequence of values"):
+                    call(arg)
 
 
 def test_empty_result_count_zero():
@@ -86,26 +96,34 @@ def test_oracle_equivalence_random_instances():
             assert ix.rank(row) == j
 
 
-def test_prefix_range_matches_oracle():
-    absent = 0
-    for seed in range(25):
-        q, order, db, ix = built_random(seed, max_vars=5, max_atoms=5)
+def test_prefix_range_matches_oracle(tmp_path):
+    # Built and loaded copies walk alike.  Every stored span is read by the
+    # rank walk of some answer, as every group extends to one, so the spans
+    # count the child steps of both kinds that the walks below take.
+    absent, steps = 0, Counter()
+    for seed in range(200):
+        q, order, db, built = built_random(seed, max_vars=5, max_atoms=5)
+        save_index(built, tmp_path / "ix.idx")
+        loaded = load_index(tmp_path / "ix.idx")
         rows = materialize_codes(q, order, db)
         n = len(order.variables)
-        rng = random.Random(seed)
-        pool = range(-1, len(db.dictionary) + 1)
-        for w in range(n + 1):
-            heads = [row[:w] for row in rows]
-            probes = set(heads) | {tuple(rng.choice(pool) for _ in range(w)) for _ in range(20)}
-            for p in probes:
-                start, stop = bisect_left(heads, p), bisect_right(heads, p)
-                assert ix.prefix_range(p) == (start, stop)
-                absent += start == stop
-        for j, row in enumerate(rows):
-            assert ix.rank_codes(row) == ix.prefix_range(row)[0] == j
-        with pytest.raises(InputError):
-            ix.prefix_range((0,) * (n + 1))
+        steps.update(type(span).__name__ for spans in built.spans if spans for span in spans)
+        for ix in (built, loaded):
+            rng = random.Random(seed)
+            pool = range(-1, len(db.dictionary) + 1)
+            for w in range(n + 1):
+                heads = [row[:w] for row in rows]
+                probes = set(heads) | {tuple(rng.choice(pool) for _ in range(w)) for _ in range(20)}
+                for p in probes:
+                    start, stop = bisect_left(heads, p), bisect_right(heads, p)
+                    assert ix.prefix_range(p) == (start, stop)
+                    absent += start == stop
+            for j, row in enumerate(rows):
+                assert ix.rank_codes(row) == ix.prefix_range(row)[0] == j
+            with pytest.raises(InputError):
+                ix.prefix_range((0,) * (n + 1))
     assert absent > 0
+    assert steps["int"] >= 20 and steps["tuple"] >= 20, steps  # a slice's start; a shared head's union
 
 
 def test_strict_monotonicity():
