@@ -15,7 +15,8 @@ import math
 import numbers
 import random
 from dataclasses import dataclass, field
-from itertools import product
+from functools import cache
+from itertools import chain, product
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -77,14 +78,15 @@ class SetFamilyInstance:
 
     def __post_init__(self):
         uni = set(self.universe)
-        for fam in self.families:
-            for s in fam:
-                if not s <= uni:
-                    raise InputError("set element outside the universe")
-        for query in self.queries:
-            if len(query) != len(self.families):
-                raise InputError("query must name one set per family")
-            for i, j in enumerate(query):
+        if not all(uni.issuperset(chain.from_iterable(fam)) for fam in self.families):
+            raise InputError("set element outside the universe")
+        if self.queries and set(map(len, self.queries)) != {self.k}:
+            raise InputError("query must name one set per family")
+        for i, column in enumerate(zip(*self.queries)):
+            if not all(issubclass(t, int) for t in set(map(type, column))):
+                raise InputError(f"query indices for family {i + 1} must be integers")
+            values = set(column)
+            for j in (min(values), max(values)):
                 if not 1 <= j <= len(self.families[i]):
                     raise InputError(f"query index {j} out of range for family {i + 1}")
 
@@ -484,12 +486,16 @@ def weight_tables(g: WeightedCliqueInstance) -> tuple[dict, list]:
 def build_intersection_instances(
     g: WeightedCliqueInstance, rho: float
 ) -> Iterator[tuple[SetFamilyInstance, int]]:
-    """One set-intersection instance per viable interval tuple.
+    """One set-intersection instance per viable interval tuple, in tuple order.
 
     Family i holds one set per vertex of part i: the last-part vertices whose
     connecting edge weight falls in the tuple's cell i.  Queries are the
     first-k vertex combinations whose mutual weight falls in cell 0.  Both
-    filter the graph's :func:`weight_tables`, built once.
+    filter the graph's :func:`weight_tables`, built once.  Each arm's family
+    is built once per cell, and each query cell's combinations once.
+    Instances that share cells share these objects, so a lookup keyed on an
+    instance's families compares them by identity.  The stream is the same
+    as if every instance were built afresh.
     """
     if g.p is None:
         raise InputError("instance must be in field mode (weights mod p)")
@@ -499,18 +505,28 @@ def build_intersection_instances(
     n = g.n
     cap = query_cap(k, n, rho)
     combos, to_last = weight_tables(g)
+
+    @cache
+    def family(i: int, lo: int, hi: int) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(u for u, w in edges.items() if lo <= w < hi) for edges in to_last[i])
+
+    @cache
+    def queries(lo: int, hi: int) -> tuple[tuple[int, ...], ...]:
+        return tuple(combo for combo, w in combos.items() if lo <= w < hi)
+
     for tup in interval_tuples(g.p, n, rho, k):
         (lo0, hi0), *arms = tup.intervals
-        families = tuple(
-            tuple(frozenset(u for u, w in edges.items() if lo <= w < hi) for edges in part_edges)
-            for part_edges, (lo, hi) in zip(to_last, arms)
-        )
-        queries = tuple(combo for combo, w in combos.items() if lo0 <= w < hi0)
-        yield SetFamilyInstance(g.parts[k], families, queries), cap
+        families = tuple(family(i, lo, hi) for i, (lo, hi) in enumerate(arms))
+        yield SetFamilyInstance(g.parts[k], families, queries(lo0, hi0)), cap
 
 
 class BruteForceBackend:
-    """Answers intersection queries straight off the set families."""
+    """Answers intersection queries straight off the set families.
+
+    The handle is the instance itself, read only for its families: like
+    every backend's, it serves any instance with the same universe and
+    families, whatever its queries.
+    """
 
     def prepare(self, inst: SetFamilyInstance) -> SetFamilyInstance:
         return inst
@@ -525,7 +541,9 @@ class DirectAccessBackend:
     The instance is encoded as a star-query database; a query's witnesses
     are the contiguous block of answers sharing the index prefix, located by
     one index walk.  Each witness is one ``access_codes`` call, of which only
-    the last code, z's, is decoded.
+    the last code, z's, is decoded.  The handle is the star's index, which
+    depends only on the instance's universe and families, so it serves every
+    instance that differs only in its queries.
     """
 
     def prepare(self, inst: SetFamilyInstance) -> AccessIndex:
@@ -554,6 +572,12 @@ def find_zero_clique_via_reduction(
     the answer is one-sided: 'found' is always correct, while a present
     zero clique is missed only with small probability.  rho defaults to
     1 / (2k).
+
+    The set families are preprocessed once and the queries arrive online:
+    the backend prepares one handle per distinct universe and families, at
+    its first instance, and every later instance with the same families
+    asks its queries of that handle.  The handles, at most one per tuple of
+    arm cells, are released when the search returns.
     """
     if g.p is not None:
         raise InputError("reduction expects integer weights")
@@ -570,8 +594,12 @@ def find_zero_clique_via_reduction(
     p = sample_prime(10 * (k + 1) ** 2 * bound, 100 * (k + 1) ** 2 * bound, rng)
     randomized, _ = randomize_weights(g, p, rng, VARIANT_INTERSECTION)
     combos, to_last = weight_tables(g)
+    handles = {}
     for inst, cap in build_intersection_instances(randomized, rho):
-        handle = backend.prepare(inst)
+        key = inst.universe, inst.families
+        if key not in handles:
+            handles[key] = backend.prepare(inst)
+        handle = handles[key]
         for query in inst.queries:
             for u in backend.intersect(handle, query, cap):
                 if combos[query] + sum(to_last[i][j - 1][u] for i, j in enumerate(query)) == 0:

@@ -108,6 +108,13 @@ def test_set_family_validation():
         hd.SetFamilyInstance((1,), ((frozenset({2}),),), ())
     with pytest.raises(InputError):
         hd.SetFamilyInstance((1,), ((frozenset({1}),),), ((2,),))
+    families = ((frozenset({1, 2}), frozenset({3})), (frozenset({1}),))
+    with pytest.raises(InputError, match="must be integers"):
+        hd.SetFamilyInstance((1, 2, 3), families, ((1.5, 1),))
+    with pytest.raises(InputError, match="one set per family"):
+        hd.SetFamilyInstance((1, 2, 3), families, ((1, 1), (1,)))
+    with pytest.raises(InputError, match="index 0 out of range for family 2"):
+        hd.SetFamilyInstance((1, 2, 3), families, ((2, 1), (1, 0)))
 
 
 # --------------------------------------------------------------------- #
@@ -393,15 +400,20 @@ def _digest_graphs():
             yield g, rng.randrange(2**32)
 
 
+def _instance_stream(g, seed):
+    """The instances that the reduction with rng random.Random(seed) draws for g."""
+    k = len(g.parts) - 1
+    rng = random.Random(seed)
+    bound = max(1, max(abs(w) for w in g.weights.values()))
+    p = hd.sample_prime(10 * (k + 1) ** 2 * bound, 100 * (k + 1) ** 2 * bound, rng)
+    randomized, _ = hd.randomize_weights(g, p, rng)
+    return hd.build_intersection_instances(randomized, 1 / (2 * k))
+
+
 def test_reduction_stream_digest():
     digest = hashlib.sha256()
     for g, seed in _digest_graphs():
-        k = len(g.parts) - 1
-        rng = random.Random(seed)
-        bound = max(1, max(abs(w) for w in g.weights.values()))
-        p = hd.sample_prime(10 * (k + 1) ** 2 * bound, 100 * (k + 1) ** 2 * bound, rng)
-        randomized, _ = hd.randomize_weights(g, p, rng)
-        for inst, cap in hd.build_intersection_instances(randomized, 1 / (2 * k)):
+        for inst, cap in _instance_stream(g, seed):
             families = tuple(tuple(tuple(sorted(s)) for s in fam) for fam in inst.families)
             digest.update(repr((inst.universe, families, inst.queries, cap)).encode())
         for backend in (hd.BruteForceBackend(), hd.DirectAccessBackend()):
@@ -439,6 +451,47 @@ def test_candidate_check_matches_is_zero_clique():
         assert found is None
         assert asked == set(product(*(range(1, len(part) + 1) for part in g.parts[:-1])))
         assert passed == {c for c in product(*g.parts) if g.is_zero_clique(c)}
+
+
+def test_reduction_prepares_each_family_tuple_once():
+    # Replaying each graph's instance stream gives the calls a backend should
+    # see: one prepare at the first instance of each distinct (universe,
+    # families), then every instance's queries, in stream order, against the
+    # handle prepared for its families.  The reduction stops at the first
+    # confirmed clique, so the calls seen must be a prefix of that script
+    # that ends on an intersect, and all of it when nothing is found.
+    calls = []
+
+    class Recording(hd.BruteForceBackend):
+        def prepare(self, inst):
+            calls.append(("prepare", inst.universe, inst.families))
+            return next(handle_ids), inst
+
+        def intersect(self, handle, query, limit):
+            calls.append(("intersect", handle[0], query))
+            return super().intersect(handle[1], query, limit)
+
+    early = 0
+    for g, seed in _digest_graphs():
+        script, handles, instances = [], {}, 0
+        for inst, _ in _instance_stream(g, seed):
+            instances += 1
+            key = inst.universe, tuple(tuple(tuple(sorted(s)) for s in fam) for fam in inst.families)
+            if key not in handles:
+                handles[key] = len(handles)
+                script.append(("prepare", inst.universe, inst.families))
+            script.extend(("intersect", handles[key], query) for query in inst.queries)
+        assert len(handles) < instances
+        calls.clear()
+        handle_ids = iter(range(instances))
+        found = hd.find_zero_clique_via_reduction(g, rng=random.Random(seed), backend=Recording())
+        assert calls == script[: len(calls)]
+        if found is None:
+            assert len(calls) == len(script)
+        else:
+            early += 1
+            assert calls[-1][0] == "intersect"
+    assert early
 
 
 # --------------------------------------------------------------------- #
