@@ -4,29 +4,29 @@ Build phase, driven by the order-induced decomposition, whose bag forest
 (bags in order with their own variable last, child links, roots) comes from
 ``decompose`` alone; the index copies it for the walks.
 
-1. one relation per bag, from the last bag to the first.  A bag inside a
-   later bag is that bag's projection, most often onto a leading prefix of
-   its sorted rows, which needs no sort.  Any other bag takes one view per
-   atom that lies inside it or meets it in a positive edge of its optimal
-   fractional edge cover (projected unless in bag order).  One view is the
-   whole bag, the cheap rho* = 1 case; two or more go to the generic join,
-   variables in the most views first.  An extra atom never raises the
-   join's AGM bound, and the bag enforces every atom inside it, as do its
-   projections;
+1. each bag's rows, from the last bag to the first.  By running
+   intersection, a bag inside a later bag is the whole interface of a child
+   with one more variable, so its rows are that child's keys, sorted,
+   distinct and already filtered: no relation or projection of its own.
+   Any other bag takes one view per atom that lies inside it or meets it in
+   a positive edge of its optimal fractional edge cover (projected unless
+   in bag order).  One view is the whole bag, the cheap rho* = 1 case; two
+   or more go to the generic join, variables in the most views first.  An
+   extra atom never raises the join's AGM bound, and the bag enforces every
+   atom inside it, as does every bag read off its keys;
 2. each bag's sorted rows become a map from interface (all columns except
-   the bag's own variable) to sorted candidates;
+   the bag's own variable) to sorted candidates (``_by_head``);
 3. the full reducer runs on these maps.  Its leaves-up half is an
    existence filter (``_in_child``): last bag first, a candidate with no
    group in some child bag is dropped, and so is a group left empty.  A bag
-   that is its child's projection names only the child's keys, so it skips
-   that filter unless the child lost a row.  Its roots-down half, then the
-   count, are one function that load runs too, ``derive_index``: it lists
-   each child's keys from its parent's groups (``reached``), takes only the
-   groups they name, and notes where each parent group's child groups sit;
-   leaves up, it then gives each candidate the product of its children's
-   group totals, read by those positions, each group prefix sums of its
-   counts, and each bag its rows, and returns the index.  Every candidate
-   left extends to an answer.
+   read off a child's keys skips the filter against that child alone.  Its
+   roots-down half, then the count, are one function that load runs too,
+   ``derive_index``: it lists each child's keys from its parent's groups
+   (``reached``), takes only the groups they name, and notes where each
+   parent group's child groups sit; leaves up, it then gives each candidate
+   the product of its children's group totals, read by those positions,
+   each group prefix sums of its counts, and each bag its rows, and returns
+   the index.  Every candidate left extends to an answer.
 
 An access then walks the variables in order.  At each variable the pending
 groups (one per bag whose interface is fully assigned but whose variable is
@@ -381,13 +381,18 @@ def value_count(values: Sequence) -> int:
         raise InputError(f"expected a sequence of values, got {type(values).__name__}") from None
 
 
+def _by_head(rows: Iterable[tuple[int, ...]]) -> Groups:
+    """Sorted distinct rows as a map from all columns but the last to their sorted last values."""
+    return {head: [*map(itemgetter(-1), run)] for head, run in groupby(rows, itemgetter(slice(None, -1)))}
+
+
 def _in_child(groups: Groups, cols: Sequence[int], child: Groups) -> Groups:
     """The full reducer's leaves-up filter: the candidates with a group in ``child``, empty groups dropped.
 
     A group whose candidates are all of its head's values in ``child`` keeps
     its list; any other is filtered through a set of those values, one per head.
     """
-    runs = {head: [*map(itemgetter(-1), keys)] for head, keys in groupby(child, itemgetter(slice(None, -1)))}
+    runs = _by_head(child)
     kept = {}
     for key, values in groups.items():
         head = tuple(map(key.__getitem__, cols))
@@ -428,20 +433,18 @@ def build_index(q: JoinQuery, order: VariableOrder, db: Database) -> AccessIndex
     # Views over distinct variables: rows where repeated-variable columns agree.
     atoms = [_collapse_repeats(db.relation(sym), vs) for sym, vs in q.atoms]
 
-    # Last to first, as a bag's supersets come later (its own variable is its
-    # latest); a bag inside one is its projection, which enforces its atoms.
-    rels: list[storage.Relation | None] = [None] * n
-    interface, last = itemgetter(slice(None, -1)), itemgetter(-1)
+    # Last to first, as a bag's children come later.  A bag inside a later bag is the
+    # interface of a child with one more variable, so its rows are that child's keys.
     candidates: list[Groups | None] = [None] * n
     for i in range(n - 1, -1, -1):
         keep = bags[i]
-        bag = frozenset(keep)
-        j = next((j for j in range(i + 1, n) if bag.issubset(bags[j])), None)
-        if j is not None:
-            b = storage.project(rels[j], [bags[j].index(v) for v in keep])
+        covering = next((c for c, _ in decomp.links[i] if len(bags[c]) == len(keep) + 1), None)
+        if covering is not None:
+            groups = _by_head(candidates[covering])
         else:
             # One view per atom inside the bag or meeting it in a positive cover edge:
             # the join enforces every atom inside, and no extra atom raises its bound.
+            bag = frozenset(keep)
             edges = decomp.bag_cover[i].positive_edges()
             views = []
             for rel, vs in atoms:
@@ -452,19 +455,15 @@ def build_index(q: JoinQuery, order: VariableOrder, db: Database) -> AccessIndex
                         rel = storage.project(rel, [vs.index(v) for v in edge_keep])
                     views.append((rel, edge_keep))
             if len(views) == 1:  # a single view is the whole bag
-                b = views[0][0]
+                groups = _by_head(views[0][0].rows)
             else:  # join the variables in most views first, ties in order
                 by_views = sorted(keep, key=lambda v: -sum(v in vs for _, vs in views))
-                b = generic_join(SubQuery(keep, tuple(views)), None, by_views)
+                groups = _by_head(generic_join(SubQuery(keep, tuple(views)), None, by_views).rows)
                 multiatom_joins += 1
-        rels[i] = b
-        # Sorted rows group by interface with their candidates already sorted.
-        groups = {key: list(map(last, rows)) for key, rows in groupby(b.rows, interface)}
-        for c, cols in decomp.links[i]:  # the projection of a child names its keys, kept if it lost no row
-            if c != j or sum(map(len, candidates[c].values())) < len(rels[c].rows):
+        for c, cols in decomp.links[i]:  # the covering child names every key already
+            if c != covering:
                 groups = _in_child(groups, cols, candidates[c])
         candidates[i] = groups
-    del rels
 
     def take(i: int, keys: list[tuple[int, ...]] | None) -> Groups:
         groups, candidates[i] = candidates[i], None  # released as taken

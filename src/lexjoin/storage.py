@@ -280,6 +280,8 @@ def load(manifest_path: str | Path) -> Database:
 def project(r: Relation, attrs: Sequence[int]) -> Relation:
     """Projection onto the given column indices, deduplicated.  Adjacent duplicates are
     dropped first, so a leading prefix of sorted rows is kept as is; any other is sorted once."""
+    if not isinstance(attrs, Sequence) or not all(isinstance(a, int) for a in attrs):
+        raise InputError(f"columns must be a sequence of integers, got {attrs!r}")
     for a in attrs:
         if not 0 <= a < r.arity:
             raise InputError(f"column {a} out of range for arity {r.arity}")

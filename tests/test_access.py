@@ -497,13 +497,17 @@ def test_randgen_builds_call_no_semijoin(monkeypatch):
     assert calls == []
 
 
-# A bag inside a later bag is built as that bag's projection.  In the third
-# case under order (a, d, b, c), bag {a, d} lies inside the joined bag
-# {a, c, d} rather than inside the next bag {b, d}.
+# A bag inside a later bag takes its rows from the keys of its first child
+# with one more variable, and is filtered against its other children.  In
+# "container-not-next" under order (a, d, b, c), bag {a, d} lies inside the
+# joined bag {a, c, d}, its child, rather than inside the next bag {b, d}.  In
+# "two-covering-children" under (a, b, c), root {a} has two such children,
+# and R holds an a that S lacks, so the second child's filter drops a row.
 CONTAINED_CASES = {
     "star3": "Q(x1,x2,x3,z) :- R1(x1,z), R2(x2,z), R3(x3,z).",
     "self-join-triangle": "Q(x,y,z) :- R(x,y), R(y,z), R(z,x).",
     "container-not-next": "Q(a,b,c,d) :- R(a,c), S(b,d), T(c,d).",
+    "two-covering-children": "Q(a,b,c) :- R(a,b), S(a,c).",
 }
 
 
@@ -526,6 +530,10 @@ def test_contained_bags_match_oracle(case):
     if case == "container-not-next":
         ix = build_index(q, VariableOrder(("a", "d", "b", "c")), db)
         assert ix.bags == (("a",), ("a", "d"), ("d", "b"), ("a", "d", "c"))
+    if case == "two-covering-children":
+        ix = build_index(q, VariableOrder(("a", "b", "c")), db)
+        assert ix.links[0] == ((1, ()), (2, ()))
+        assert {a for a, _ in db.relation("R").rows} - {a for a, _ in db.relation("S").rows}
     if case == "star3":
         # Worst order: only the maximal bag {x1, x2, x3, z} is joined.
         ix = build_index(q, VariableOrder(("x1", "x2", "x3", "z")), db)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import islice, permutations
 
 import pytest
 
@@ -272,6 +273,27 @@ def test_acyclic_queries_have_integral_bag_covers():
         for cover in decomp.bag_cover:
             assert cover.total.denominator == 1
     assert checked > 30
+
+
+def test_contained_bag_is_its_covering_childs_interface():
+    # The build reads a bag inside a later bag off the keys of its first child
+    # with one more variable; running intersection makes that child's interface the bag.
+    contained = several = 0
+    for seed in range(200):
+        q, _ = random_query(random.Random(seed))
+        for variables in islice(permutations(q.variables), 24):
+            d = decompose(q, VariableOrder(variables))
+            bags, links = d.bags, d.links
+            for i, bag in enumerate(bags):
+                later = [j for j in range(i + 1, len(bags)) if set(bag) <= set(bags[j])]
+                covering = [c for c, _ in links[i] if len(bags[c]) == len(bag) + 1]
+                assert bool(later) == bool(covering), (seed, variables, i)
+                if covering:
+                    contained += 1
+                    several += len(covering) > 1
+                    assert covering[0] == later[0], (seed, variables, i)
+                    assert all(bags[c][:-1] == bag for c in covering), (seed, variables, i)
+    assert contained > 5000 and several > 300  # 6,042 and 344
 
 
 def test_decompose_cached_and_left_unchanged(tmp_path, capsys):

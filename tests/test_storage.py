@@ -154,6 +154,16 @@ def test_project_onto_no_columns():
     assert project(Relation(2, [(1, 2)]), []).arity == 0
 
 
+@pytest.mark.parametrize(
+    "attrs", [[-1], [2], [0.5], [None], "0", 5], ids=["negative", "arity", "float", "none", "str", "int"]
+)
+def test_project_rejects_bad_columns(attrs):
+    r = Relation(2, [(1, 2)])
+    with pytest.raises(InputError):
+        project(r, attrs)
+    assert project(r, [True]).rows == ((2,),)  # a bool is an int, as access codes allow
+
+
 def test_project_onto_one_column_gives_one_tuples():
     rows = {(a, b) for a in range(5) for b in range(3)} - {(2, 1)}
     r = Relation(2, rows)
