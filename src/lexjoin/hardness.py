@@ -29,6 +29,14 @@ from .storage import Database, build_database, read_text
 # query templates
 
 
+def _check_arity(k, least: int, message: str) -> None:
+    """Reject a k that is not an int, then one below ``least`` with ``message``."""
+    if not isinstance(k, int):
+        raise InputError(f"k must be an integer, got {k!r}")
+    if k < least:
+        raise InputError(message)
+
+
 def star_query(k: int) -> tuple[JoinQuery, VariableOrder]:
     """The k-armed star R_1(x_1, z), ..., R_k(x_k, z) with its worst order.
 
@@ -36,8 +44,7 @@ def star_query(k: int) -> tuple[JoinQuery, VariableOrder]:
     arm's variable pairwise independent ahead of it; the incompatibility
     number of the pair is exactly k.
     """
-    if k < 1:
-        raise InputError("a star needs at least one arm")
+    _check_arity(k, 1, "a star needs at least one arm")
     xs = [f"x{i}" for i in range(1, k + 1)]
     atoms = tuple((f"R{i}", (f"x{i}", "z")) for i in range(1, k + 1))
     q = JoinQuery(f"Star{k}", atoms, tuple(xs) + ("z",))
@@ -50,8 +57,7 @@ def lw_query(k: int) -> JoinQuery:
     For k = 3 this is the triangle R_1(x2, x3), R_2(x1, x3), R_3(x1, x2);
     its optimal fractional cover totals 1 + 1/(k - 1).
     """
-    if k < 2:
-        raise InputError("needs at least two variables")
+    _check_arity(k, 2, "needs at least two variables")
     xs = [f"x{i}" for i in range(1, k + 1)]
     atoms = tuple(
         (f"R{i}", tuple(x for j, x in enumerate(xs, start=1) if j != i))
@@ -77,6 +83,8 @@ class SetFamilyInstance:
     queries: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
+        if not self.families:
+            raise InputError("an instance needs at least one set family")
         uni = set(self.universe)
         if not all(uni.issuperset(chain.from_iterable(fam)) for fam in self.families):
             raise InputError("set element outside the universe")
@@ -167,6 +175,12 @@ def projected_star_test(ix: AccessIndex, indices: Sequence[int]) -> bool:
 # weighted multipartite cliques
 
 
+def _check_field_size(p) -> None:
+    """Reject a field size that is not an int of at least 2."""
+    if not (isinstance(p, int) and p >= 2):
+        raise InputError(f"field size must be an integer at least 2, got {p!r}")
+
+
 @dataclass(frozen=True)
 class WeightedCliqueInstance:
     """Complete multipartite graph with integer or residue edge weights.
@@ -201,6 +215,7 @@ class WeightedCliqueInstance:
                     if (min(u, v), max(u, v)) not in self.weights:
                         raise InputError(f"missing cross edge ({u}, {v})")
         if self.p is not None:
+            _check_field_size(self.p)
             for w in self.weights.values():
                 if not 0 <= w < self.p:
                     raise InputError("field-mode weights must be residues in [0, p)")
@@ -316,8 +331,13 @@ def sample_prime(lo: int, hi: int, rng: random.Random) -> int:
     raise InputError(f"no prime in [{lo}, {hi}]")
 
 
-VARIANT_INTERSECTION = "intersection"
-VARIANT_ENUMERATION = "enumeration"
+def _randomizable(g: WeightedCliqueInstance, p) -> int:
+    """k, the index of the last part, once ``g`` and ``p`` admit a randomization."""
+    _check_field_size(p)
+    k = len(g.parts) - 1
+    if k < 2:
+        raise InputError("weight randomization needs at least three parts")
+    return k
 
 
 @dataclass(frozen=True)
@@ -326,8 +346,6 @@ class WeightRandomness:
 
     x: int
     y_last: dict[tuple[int, int], int]
-    y_first: dict[int, int]
-    variant: str
 
 
 def apply_weight_randomization(
@@ -335,71 +353,42 @@ def apply_weight_randomization(
     p: int,
     x: int,
     y_last: dict[tuple[int, int], int],
-    y_first: dict[int, int],
-    variant: str = VARIANT_INTERSECTION,
 ) -> WeightedCliqueInstance:
     """Rescale by x and add telescoping offsets; every clique weight becomes x times its old value (mod p).
 
-    For an edge from part i to the last part the offset telescopes through
-    y values attached to the last-part endpoint; the enumeration variant
-    additionally shifts first-part vertices, moving their offset onto the
-    edge into part 2.  Cross-clique sums cancel every offset exactly.
-    ``g`` may hold integer weights or residues: x * w = x * (w mod p) mod p.
+    Each last-part vertex v carries offsets y(v, j) = ``y_last[(v, j)]`` for
+    0 < j < k, padded with y(v, 0) = y(v, k) = 0.  The edge from part i to v
+    gains y(v, i) - y(v, i - 1); every other edge is only rescaled.  A
+    clique's k edges into v sum these over i = 1..k, which telescopes to
+    y(v, k) - y(v, 0) = 0.  ``g`` may hold integer weights or residues:
+    x * w = x * (w mod p) mod p.
     """
-    k = len(g.parts) - 1
-    if k < 2:
-        raise InputError("weight randomization needs at least three parts")
-    if variant not in (VARIANT_INTERSECTION, VARIANT_ENUMERATION):
-        raise InputError(f"unknown randomization variant {variant!r}")
-    new_weights: dict[tuple[int, int], int] = {}
-    for (u, v), w in g.weights.items():
-        i = g.part_index[u]
-        j = g.part_index[v]
-        if i > j:
-            i, j = j, i
-            u, v = v, u
-        total = x * w
-        if j == k + 1:
-            if i == 1:
-                total += y_last[(v, 1)]
-            elif i < k:
-                total += y_last[(v, i)] - y_last[(v, i - 1)]
-            else:
-                total -= y_last[(v, k - 1)]
-        if variant == VARIANT_ENUMERATION and i == 1:
-            if j == k + 1:
-                total -= y_first[u]
-            elif j == 2:
-                total += y_first[u]
-        new_weights[(min(u, v), max(u, v))] = total % p
+    k = _randomizable(g, p)
+    offsets: dict[tuple[int, int], int] = {}
+    for v in g.parts[k]:
+        y = (0, *(y_last[(v, j)] for j in range(1, k)), 0)
+        for i, part in enumerate(g.parts[:k], start=1):
+            for u in part:
+                offsets[(min(u, v), max(u, v))] = y[i] - y[i - 1]
+    new_weights = {e: (x * w + offsets.get(e, 0)) % p for e, w in g.weights.items()}
     return WeightedCliqueInstance(g.parts, new_weights, p)
 
 
 def randomize_weights(
-    g: WeightedCliqueInstance,
-    p: int,
-    rng: random.Random,
-    variant: str = VARIANT_INTERSECTION,
+    g: WeightedCliqueInstance, p: int, rng: random.Random
 ) -> tuple[WeightedCliqueInstance, WeightRandomness]:
-    """Sample x != 0 and all offsets uniformly from the field, then apply them.
+    """Sample x != 0 and the offsets y(v, j), 0 < j < k, uniformly from the field, then apply them.
 
-    The draws depend only on the parts, so integer or residue weights give
-    the same instance.
+    x is drawn first, by rejection, then the offsets of each last-part vertex
+    in part order, j ascending.  The draws depend only on the parts, so
+    integer or residue weights give the same instance.
     """
-    k = len(g.parts) - 1
-    if k < 2:
-        raise InputError("weight randomization needs at least three parts")
+    k = _randomizable(g, p)
     x = 0
     while x == 0:
         x = rng.randrange(p)
-    y_last = {
-        (v, j): rng.randrange(p) for v in g.parts[k] for j in range(1, k)
-    }
-    y_first = {}
-    if variant == VARIANT_ENUMERATION:
-        y_first = {v: rng.randrange(p) for v in g.parts[0]}
-    randomness = WeightRandomness(x, y_last, y_first, variant)
-    return apply_weight_randomization(g, p, x, y_last, y_first, variant), randomness
+    y_last = {(v, j): rng.randrange(p) for v in g.parts[k] for j in range(1, k)}
+    return apply_weight_randomization(g, p, x, y_last), WeightRandomness(x, y_last)
 
 
 # --------------------------------------------------------------------- #
@@ -592,7 +581,7 @@ def find_zero_clique_via_reduction(
         backend = BruteForceBackend()
     bound = max(1, max((abs(w) for w in g.weights.values()), default=1))
     p = sample_prime(10 * (k + 1) ** 2 * bound, 100 * (k + 1) ** 2 * bound, rng)
-    randomized, _ = randomize_weights(g, p, rng, VARIANT_INTERSECTION)
+    randomized, _ = randomize_weights(g, p, rng)
     combos, to_last = weight_tables(g)
     handles = {}
     for inst, cap in build_intersection_instances(randomized, rho):
@@ -672,6 +661,7 @@ def random_set_family(
     MAX_QUERY_COMBINATIONS of them it raises InputError before drawing
     anything: pass ``queries`` to draw that many at random instead.
     """
+    _check_arity(k, 1, "an instance needs at least one set family")
     if min(sets_per_family, universe_size, max_set_size, queries or 0) < 0:
         raise InputError("set counts, sizes and query counts must be non-negative")
     if queries and not sets_per_family:
@@ -746,7 +736,10 @@ def write_partite_graph(path: str | Path, g: WeightedCliqueInstance) -> None:
     lines = ["parts " + " ".join(str(len(part)) for part in g.parts)]
     for (u, v) in sorted(g.weights):
         lines.append(f"{u} {v} {g.weights[(u, v)]}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write graph file {path}: {exc.strerror}") from None
 
 
 def read_partite_graph(path: str | Path) -> WeightedCliqueInstance:

@@ -497,6 +497,7 @@ GEN_BAD_ARGS = {
         ["setdisj", "--sets", "0", "--queries", "3"],
         "cannot draw queries from families without sets",
     ),
+    "setdisj-no-families": (["setdisj", "--k", "0"], "an instance needs at least one set family"),
     "setdisj-too-many-combinations": (
         ["setdisj", "--sets", "20", "--k", "4"],
         "every index combination is 160000 queries, more than 100000: pass queries",

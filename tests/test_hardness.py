@@ -25,6 +25,13 @@ def test_star_query_shapes():
     assert len(q3.atoms) == 3
     with pytest.raises(InputError):
         hd.star_query(0)
+    assert hd.star_query(True)[1].variables == ("x1", "z")
+
+
+@pytest.mark.parametrize("make, k", [(hd.star_query, 2.5), (hd.lw_query, "3")])
+def test_query_templates_reject_non_int_k(make, k):
+    with pytest.raises(InputError, match="k must be an integer"):
+        make(k)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -115,6 +122,17 @@ def test_set_family_validation():
         hd.SetFamilyInstance((1, 2, 3), families, ((1, 1), (1,)))
     with pytest.raises(InputError, match="index 0 out of range for family 2"):
         hd.SetFamilyInstance((1, 2, 3), families, ((2, 1), (1, 0)))
+    with pytest.raises(InputError, match="at least one set family"):
+        hd.SetFamilyInstance((1, 2), (), ((),))
+
+
+@pytest.mark.parametrize("k", [0, -1, 2.5])
+def test_random_set_family_rejects_bad_k_before_drawing(k):
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(InputError, match="at least one set family|k must be an integer"):
+        hd.random_set_family(rng, k, 3, 8, 4)
+    assert rng.getstate() == state
 
 
 # --------------------------------------------------------------------- #
@@ -220,22 +238,76 @@ def test_identity_weight_randomization_is_noop():
         g.parts, {e: w % p for e, w in g.weights.items()}, p
     )
     y_last = {(v, j): 0 for v in g.parts[-1] for j in range(1, len(g.parts) - 1)}
-    same = hd.apply_weight_randomization(reduced, p, 1, y_last, {}, hd.VARIANT_INTERSECTION)
+    same = hd.apply_weight_randomization(reduced, p, 1, y_last)
     assert same.weights == reduced.weights
 
 
-@pytest.mark.parametrize("variant", [hd.VARIANT_INTERSECTION, hd.VARIANT_ENUMERATION])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_randomization_offsets_telescope_per_edge(k):
+    # With x = 1 only the offsets move a weight: the edge from part i to a
+    # last-part vertex v gains y(v, i) - y(v, i - 1) with y(v, 0) = y(v, k) = 0,
+    # and every edge between the first k parts keeps its weight.
+    rng = random.Random(80 + k)
+    p = 10007
+    g, _ = hd.random_partite_instance(rng, k + 1, 3, 10**4)
+    reduced = hd.WeightedCliqueInstance(g.parts, {e: w % p for e, w in g.weights.items()}, p)
+    y_last = {(v, j): rng.randrange(p) for v in g.parts[k] for j in range(1, k)}
+
+    def y(v, j):
+        return y_last[(v, j)] if 0 < j < k else 0
+
+    out = hd.apply_weight_randomization(reduced, p, 1, y_last)
+    assert out.weights.keys() == reduced.weights.keys()
+    last = set(g.parts[k])
+    moved = 0
+    for (a, b), w in reduced.weights.items():
+        u, v = (a, b) if b in last else (b, a)
+        if v in last:
+            i = g.part_index[u]
+            w = (w + y(v, i) - y(v, i - 1)) % p
+            moved += 1
+        assert out.weights[(a, b)] == w
+    assert moved == k * 3 * 3
+
+
+class _BoundedRandom(random.Random):
+    """Raises after 1,000 randrange calls, so that a draw loop that never ends fails."""
+
+    calls = 0
+
+    def randrange(self, *args):
+        self.calls += 1
+        if self.calls > 1000:
+            raise RuntimeError("more than 1,000 randrange calls")
+        return super().randrange(*args)
+
+
+@pytest.mark.parametrize("p", [1, 0, -7, 2.5, None])
+def test_randomization_rejects_bad_field_size(p):
+    g, _ = small_instance(seed=15)
+    zeros = {e: 0 for e in g.weights}
+    rng = _BoundedRandom(0)
+    with pytest.raises(InputError, match="field size must be an integer at least 2"):
+        hd.randomize_weights(g, p, rng)
+    assert rng.calls == 0
+    with pytest.raises(InputError, match="field size must be an integer at least 2"):
+        hd.apply_weight_randomization(g, p, 1, {(v, 1): 0 for v in g.parts[-1]})
+    if p is not None:
+        with pytest.raises(InputError, match="field size must be an integer at least 2"):
+            hd.WeightedCliqueInstance(g.parts, zeros, p)
+
+
 @pytest.mark.parametrize("k", [2, 3])
-def test_randomization_scales_every_clique(k, variant):
+def test_randomization_scales_every_clique(k):
     rng = random.Random(70 + k)
     g, _ = hd.random_partite_instance(rng, k + 1, 4, 200)
     p = hd.sample_prime(10 * (k + 1) ** 2 * 201, 100 * (k + 1) ** 2 * 201, rng)
     reduced = hd.WeightedCliqueInstance(g.parts, {e: w % p for e, w in g.weights.items()}, p)
     state = rng.getstate()
-    randomized, rnd = hd.randomize_weights(reduced, p, rng, variant)
+    randomized, rnd = hd.randomize_weights(reduced, p, rng)
     assert rnd.x != 0
     rng.setstate(state)
-    assert hd.randomize_weights(g, p, rng, variant) == (randomized, rnd)  # integer weights
+    assert hd.randomize_weights(g, p, rng) == (randomized, rnd)  # integer weights
     for clique in product(*g.parts):
         assert randomized.clique_weight(clique) == (rnd.x * reduced.clique_weight(clique)) % p
 
@@ -581,3 +653,10 @@ def test_partite_graph_bad_input(tmp_path, case):
         path.write_bytes(content)
     with pytest.raises(InputError, match=message):
         hd.read_partite_graph(path)
+
+
+def test_partite_graph_write_under_missing_directory(tmp_path):
+    path = tmp_path / "missing" / "graph.txt"
+    with pytest.raises(InputError, match="cannot write graph file") as exc:
+        hd.write_partite_graph(path, small_instance(seed=14)[0])
+    assert str(path) in str(exc.value)
