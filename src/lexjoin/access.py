@@ -458,7 +458,7 @@ def build_index(q: JoinQuery, order: VariableOrder, db: Database) -> AccessIndex
                 groups = _by_head(views[0][0].rows)
             else:  # join the variables in most views first, ties in order
                 by_views = sorted(keep, key=lambda v: -sum(v in vs for _, vs in views))
-                groups = _by_head(generic_join(SubQuery(keep, tuple(views)), None, by_views).rows)
+                groups = _by_head(generic_join(SubQuery(keep, tuple(views)), by_views).rows)
                 multiatom_joins += 1
         for c, cols in decomp.links[i]:  # the covering child names every key already
             if c != covering:

@@ -29,11 +29,12 @@ from .storage import Database, build_database, read_text
 # query templates
 
 
-def _check_arity(k, least: int, message: str) -> None:
-    """Reject a k that is not an int, then one below ``least`` with ``message``."""
-    if not isinstance(k, int):
-        raise InputError(f"k must be an integer, got {k!r}")
-    if k < least:
+def _check_sizes(least: int, message: str, **sizes) -> None:
+    """Reject a size that is not an int (a bool is one), then any below ``least`` with ``message``."""
+    for name, value in sizes.items():
+        if not isinstance(value, int):
+            raise InputError(f"{name} must be an integer, got {value!r}")
+    if min(sizes.values()) < least:
         raise InputError(message)
 
 
@@ -44,7 +45,7 @@ def star_query(k: int) -> tuple[JoinQuery, VariableOrder]:
     arm's variable pairwise independent ahead of it; the incompatibility
     number of the pair is exactly k.
     """
-    _check_arity(k, 1, "a star needs at least one arm")
+    _check_sizes(1, "a star needs at least one arm", k=k)
     xs = [f"x{i}" for i in range(1, k + 1)]
     atoms = tuple((f"R{i}", (f"x{i}", "z")) for i in range(1, k + 1))
     q = JoinQuery(f"Star{k}", atoms, tuple(xs) + ("z",))
@@ -57,7 +58,7 @@ def lw_query(k: int) -> JoinQuery:
     For k = 3 this is the triangle R_1(x2, x3), R_2(x1, x3), R_3(x1, x2);
     its optimal fractional cover totals 1 + 1/(k - 1).
     """
-    _check_arity(k, 2, "needs at least two variables")
+    _check_sizes(2, "needs at least two variables", k=k)
     xs = [f"x{i}" for i in range(1, k + 1)]
     atoms = tuple(
         (f"R{i}", tuple(x for j, x in enumerate(xs, start=1) if j != i))
@@ -318,8 +319,7 @@ def is_prime(m: int) -> bool:
 
 def sample_prime(lo: int, hi: int, rng: random.Random) -> int:
     """A prime in [lo, hi] by rejection sampling; error if the range has none."""
-    if hi < lo:
-        raise InputError("empty prime range")
+    _check_sizes(lo, "empty prime range", lo=lo, hi=hi)  # only hi can fall below lo
     span = hi - lo + 1
     for _ in range(200 * max(1, span.bit_length())):
         candidate = lo + rng.randrange(span)
@@ -410,8 +410,10 @@ class IntervalTuple:
 
 def interval_partition(p: int, pieces: int) -> list[tuple[int, int]]:
     """Split [0, p) into ``pieces`` near-equal half-open cells."""
-    if pieces < 1 or pieces > p:
-        raise InputError(f"cannot split a field of size {p} into {pieces} cells")
+    message = f"cannot split a field of size {p} into {pieces} cells"
+    _check_sizes(1, message, p=p, pieces=pieces)
+    if pieces > p:
+        raise InputError(message)
     q, rem = divmod(p, pieces)
     cells = []
     start = 0
@@ -661,9 +663,15 @@ def random_set_family(
     MAX_QUERY_COMBINATIONS of them it raises InputError before drawing
     anything: pass ``queries`` to draw that many at random instead.
     """
-    _check_arity(k, 1, "an instance needs at least one set family")
-    if min(sets_per_family, universe_size, max_set_size, queries or 0) < 0:
-        raise InputError("set counts, sizes and query counts must be non-negative")
+    _check_sizes(1, "an instance needs at least one set family", k=k)
+    _check_sizes(
+        0,
+        "set counts, sizes and query counts must be non-negative",
+        sets_per_family=sets_per_family,
+        universe_size=universe_size,
+        max_set_size=max_set_size,
+        queries=0 if queries is None else queries,
+    )
     if queries and not sets_per_family:
         raise InputError("cannot draw queries from families without sets")
     if queries is None and sets_per_family**k > MAX_QUERY_COMBINATIONS:
@@ -702,8 +710,8 @@ def random_partite_instance(
     Planting picks one vertex per part and rewrites a single edge so the
     clique sums to zero.
     """
-    if parts < 0 or part_size < 0 or weight_bound < 0:
-        raise InputError("part count, part size and weight bound must be non-negative")
+    message = "part count, part size and weight bound must be non-negative"
+    _check_sizes(0, message, parts=parts, part_size=part_size, weight_bound=weight_bound)
     edges = parts * (parts - 1) // 2 * part_size**2
     if edges > MAX_PARTITE_EDGES:
         raise InputError(f"the graph would have {edges} edges, more than {MAX_PARTITE_EDGES}")
@@ -732,7 +740,16 @@ def random_partite_instance(
 
 
 def write_partite_graph(path: str | Path, g: WeightedCliqueInstance) -> None:
-    """Text form: a ``parts`` header with part sizes, then ``u v w`` lines."""
+    """Text form: a ``parts`` header with part sizes, then ``u v w`` lines.
+
+    The header stores only the part sizes and no field size, so the file reads
+    back as the same graph only when its vertices are 1..n in part order and
+    ``p`` is None; any other graph raises InputError before a byte is written.
+    """
+    if [v for part in g.parts for v in part] != list(range(1, g.n + 1)):
+        raise InputError(f"cannot write graph file {path}: vertices are not 1..n in part order")
+    if g.p is not None:
+        raise InputError(f"cannot write graph file {path}: it stores no field size (p = {g.p})")
     lines = ["parts " + " ".join(str(len(part)) for part in g.parts)]
     for (u, v) in sorted(g.weights):
         lines.append(f"{u} {v} {g.weights[(u, v)]}")

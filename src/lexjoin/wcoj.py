@@ -1,12 +1,13 @@
 """Multiway joins: a generic worst-case-optimal join and a brute-force oracle.
 
 ``generic_join`` is Generic Join over hash tries (Ngo, Ré, Rudra, "Skew
-strikes back", SIGMOD Record 2013): each atom becomes nested dicts over its
-variables in a caller-chosen order.  At each variable the join iterates the
-keys of the atom node with the fewest children, keeps a value only if every
-other atom node there has it as a key, and descends into the children.
-``naive_join`` computes the same answer set by filtering the product of the
-per-variable candidate domains; it exists purely as a test oracle.
+strikes back", SIGMOD Record 2013): each relation view becomes nested dicts
+over its variables in a caller-chosen order.  At each variable the join
+iterates the keys of the view node with the fewest children, keeps a value
+only if every other view node there has it as a key, and descends into the
+children.  ``naive_join`` computes the same answer set by filtering the
+product of the per-variable candidate domains; it exists purely as a test
+oracle.  Neither knows of a database: views in, rows out.
 """
 
 from __future__ import annotations
@@ -16,18 +17,18 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 from operator import itemgetter
-from typing import Sequence, Union
+from typing import Sequence
 
 from .errors import InputError
-from .storage import Database, Relation
+from .storage import Relation
 
 
 @dataclass(frozen=True)
 class SubQuery:
-    """Output variables plus atoms; atoms may carry symbols or relation views."""
+    """Output variables plus atoms, each a relation view ``(Relation, variables)``."""
 
     output: tuple[str, ...]
-    atoms: tuple[tuple[Union[str, Relation], tuple[str, ...]], ...]
+    atoms: tuple[tuple[Relation, tuple[str, ...]], ...]
 
     def __post_init__(self):
         if not self.output:
@@ -35,7 +36,11 @@ class SubQuery:
         if len(set(self.output)) != len(self.output):
             raise InputError(f"output variables {list(self.output)} repeat a variable")
         covered = set()
-        for _, vs in self.atoms:
+        for rel, vs in self.atoms:
+            if not isinstance(rel, Relation):
+                raise InputError(f"atom over {vs} is {rel!r}, not a relation view")
+            if rel.arity != len(vs):
+                raise InputError(f"atom over {vs} does not match relation arity {rel.arity}")
             covered.update(vs)
         missing = set(self.output) - covered
         if missing:
@@ -43,21 +48,6 @@ class SubQuery:
         stray = covered - set(self.output)
         if stray:
             raise InputError(f"atom variables {sorted(stray)} missing from the output")
-
-
-def _resolve(sq: SubQuery, db: Database | None) -> list[tuple[Relation, tuple[str, ...]]]:
-    out = []
-    for ref, vs in sq.atoms:
-        if isinstance(ref, Relation):
-            rel = ref
-        else:
-            if db is None:
-                raise InputError(f"symbol {ref!r} given without a database")
-            rel = db.relation(ref)
-        if rel.arity != len(vs):
-            raise InputError(f"atom over {vs} does not match relation arity {rel.arity}")
-        out.append((rel, vs))
-    return out
 
 
 def _collapse_repeats(rel: Relation, vs: tuple[str, ...]) -> tuple[Relation, tuple[str, ...]]:
@@ -101,11 +91,12 @@ def _extend(users: list[list[int]], prefix: tuple[int, ...], nodes: list, out: l
         _extend(users, prefix + (value,), below, out)
 
 
-def generic_join(sq: SubQuery, db: Database | None, order: Sequence[str]) -> Relation:
-    """All assignments satisfying every atom, in worst-case-optimal time.
+def generic_join(sq: SubQuery, order: Sequence[str]) -> Relation:
+    """All assignments satisfying every view, in worst-case-optimal time.
 
-    ``order`` must enumerate the subquery variables; each atom's hash trie
+    ``order`` must enumerate the subquery variables; each view's hash trie
     nests its variables in that order, and the recursion binds them in it.
+    A view with a repeated variable keeps the rows where those columns agree.
     """
     order = tuple(order)
     if sorted(order) != sorted(sq.output):
@@ -115,11 +106,11 @@ def generic_join(sq: SubQuery, db: Database | None, order: Sequence[str]) -> Rel
     # roots[a] is atom a's trie; users[d] lists the atoms whose tries branch on order[d].
     roots: list[dict] = []
     users: list[list[int]] = [[] for _ in order]
-    for rel, vs in _resolve(sq, db):
+    for rel, vs in sq.atoms:
         rel, vs = _collapse_repeats(rel, vs)
         if len(rel) == 0:
             return Relation(len(sq.output), [])
-        if not vs:  # a nullary atom with its one row () constrains nothing
+        if not vs:  # a nullary view with its one row () constrains nothing
             continue
         *inner, leaf = cols = sorted(range(len(vs)), key=lambda c: pos[vs[c]])
         for c in cols:
@@ -139,11 +130,10 @@ def generic_join(sq: SubQuery, db: Database | None, order: Sequence[str]) -> Rel
     return Relation(len(sq.output), out)
 
 
-def naive_join(sq: SubQuery, db: Database | None = None) -> Relation:
-    """Oracle: filter the product of per-variable candidate domains."""
-    atoms = _resolve(sq, db)
+def naive_join(sq: SubQuery) -> Relation:
+    """Oracle: filter the product of per-variable candidate domains of the views."""
     domains: dict[str, set[int] | None] = {v: None for v in sq.output}
-    for rel, vs in atoms:
+    for rel, vs in sq.atoms:
         for col, v in enumerate(vs):
             values = {row[col] for row in rel.rows}
             domains[v] = values if domains[v] is None else domains[v] & values
@@ -155,7 +145,7 @@ def naive_join(sq: SubQuery, db: Database | None = None) -> Relation:
             return Relation(len(sq.output), [])
         pools.append(sorted(dom))
     rows = []
-    row_sets = [(frozenset(rel.rows), vs) for rel, vs in atoms]
+    row_sets = [(frozenset(rel.rows), vs) for rel, vs in sq.atoms]
     for combo in product(*pools):
         binding = dict(zip(var_list, combo))
         if all(tuple(binding[v] for v in vs) in rs for rs, vs in row_sets):

@@ -82,7 +82,7 @@ def random_database(
 
 
 def random_subquery_instance(rng: random.Random, max_vars: int = 4):
-    """A SubQuery-shaped instance: atoms may repeat variables inside a scope."""
+    """A random SubQuery over relation views; atoms may repeat variables inside a scope."""
     from lexjoin import SubQuery
 
     nv = rng.randint(1, max_vars)
@@ -107,7 +107,7 @@ def random_subquery_instance(rng: random.Random, max_vars: int = 4):
             raw[sym] = (["int"], [(x,) for x in range(5)])
             atoms.append((sym, (v,)))
     db = build_database(raw)
-    return SubQuery(tuple(variables), tuple(atoms)), db
+    return SubQuery(tuple(variables), tuple((db.relation(sym), vs) for sym, vs in atoms))
 
 
 def mutate(rng: random.Random, data: bytes, tokens: Sequence[bytes], edits: int = 3) -> bytes:

@@ -135,6 +135,18 @@ def test_random_set_family_rejects_bad_k_before_drawing(k):
     assert rng.getstate() == state
 
 
+@pytest.mark.parametrize("size", ["sets_per_family", "universe_size", "max_set_size", "queries"])
+def test_random_set_family_rejects_non_int_sizes_before_drawing(size):
+    args = {"sets_per_family": 2, "universe_size": 8, "max_set_size": 4, "queries": 3}
+    args[size] = 2.5
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(InputError, match=f"{size} must be an integer, got 2.5"):
+        hd.random_set_family(rng, 2, **args)
+    assert rng.getstate() == state
+    assert hd.random_set_family(rng, True, True, 8, 4, queries=True).queries == ((1,),)
+
+
 # --------------------------------------------------------------------- #
 # weighted cliques
 
@@ -142,6 +154,17 @@ def test_random_set_family_rejects_bad_k_before_drawing(k):
 def small_instance(seed=0, parts=3, size=3, bound=50, plant=False):
     rng = random.Random(seed)
     return hd.random_partite_instance(rng, parts, size, bound, plant=plant)
+
+
+@pytest.mark.parametrize("size", ["parts", "part_size", "weight_bound"])
+def test_random_partite_instance_rejects_non_int_sizes_before_drawing(size):
+    args = {"parts": 3, "part_size": 2, "weight_bound": 10}
+    args[size] = 2.5
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(InputError, match=f"{size} must be an integer, got 2.5"):
+        hd.random_partite_instance(rng, **args)
+    assert rng.getstate() == state
 
 
 def test_brute_zero_clique_planted():
@@ -222,6 +245,15 @@ def test_sample_prime_in_range():
 def test_sample_prime_empty_range():
     with pytest.raises(InputError):
         hd.sample_prime(24, 28, random.Random(0))
+
+
+@pytest.mark.parametrize("lo, hi, bad", [(10, 20.5, "hi"), (10.0, 20, "lo"), ("10", 20, "lo")])
+def test_sample_prime_rejects_non_int_bounds_before_drawing(lo, hi, bad):
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(InputError, match=f"{bad} must be an integer"):
+        hd.sample_prime(lo, hi, rng)
+    assert rng.getstate() == state
 
 
 def test_is_prime_basics():
@@ -334,6 +366,13 @@ def test_interval_partition_sizes():
     sizes = {stop - start for start, stop in cells}
     assert sizes <= {3, 4}
     assert cells[-1][1] == 17
+
+
+@pytest.mark.parametrize("p, pieces, bad", [(2.5, 2, "p"), (17, 5.0, "pieces")])
+def test_interval_partition_rejects_non_int_sizes(p, pieces, bad):
+    with pytest.raises(InputError, match=f"{bad} must be an integer"):
+        hd.interval_partition(p, pieces)
+    assert hd.interval_partition(True, True) == [(0, 1)]
 
 
 def test_interval_tuples_defining_property():
@@ -660,3 +699,26 @@ def test_partite_graph_write_under_missing_directory(tmp_path):
     with pytest.raises(InputError, match="cannot write graph file") as exc:
         hd.write_partite_graph(path, small_instance(seed=14)[0])
     assert str(path) in str(exc.value)
+
+
+# Each graph would read back as another graph, or fail to read back.
+UNWRITABLE_GRAPHS = {
+    "parts-swapped": (((3, 4), (1, 2)), {(1, 3): 1, (1, 4): 2, (2, 3): 3, (2, 4): 4}, None),
+    "parts-interleaved": (
+        ((1, 4), (2, 5), (3, 6)),
+        {(u, v): 1 for u in range(1, 7) for v in range(u + 1, 7) if (v - u) % 3},
+        None,
+    ),
+    "not-from-one": (((10, 11), (20, 21)), {(u, v): 1 for u in (10, 11) for v in (20, 21)}, None),
+    "field-mode": (((1,), (2,), (3,)), {(1, 2): 1, (1, 3): 2, (2, 3): 4}, 7),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE_GRAPHS))
+def test_partite_graph_write_refuses_graphs_it_cannot_store(tmp_path, case):
+    parts, weights, p = UNWRITABLE_GRAPHS[case]
+    g = hd.WeightedCliqueInstance(parts, weights, p)
+    path = tmp_path / "graph.txt"
+    with pytest.raises(InputError, match="cannot write graph file"):
+        hd.write_partite_graph(path, g)
+    assert not path.exists()

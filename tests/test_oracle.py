@@ -47,11 +47,11 @@ def test_agreement_with_domain_product_filter():
         q, order = random_query(rng, max_vars=4, max_atoms=4)
         db = random_database(rng, q, domain=4, max_rows=12)
         via_hash = set(materialize_codes(q, order, db))
-        sq = SubQuery(q.variables, q.atoms)
+        sq = SubQuery(q.variables, tuple((db.relation(sym), vs) for sym, vs in q.atoms))
         pos = {v: i for i, v in enumerate(q.variables)}
         via_product = {
             tuple(row[pos[v]] for v in order.variables)
-            for row in naive_join(sq, db).rows
+            for row in naive_join(sq).rows
         }
         assert via_hash == via_product
 
