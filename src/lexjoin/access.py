@@ -11,11 +11,15 @@ Build phase, driven by the order-induced decomposition, whose bag forest
    Any other bag takes one view per atom that lies inside it or meets it in
    a positive edge of its optimal fractional edge cover (projected unless
    in bag order).  One view is the whole bag, the cheap rho* = 1 case; two
-   or more go to the generic join, variables in the most views first.  An
-   extra atom never raises the join's AGM bound, and the bag enforces every
-   atom inside it, as does every bag read off its keys;
-2. each bag's sorted rows become a map from interface (all columns except
-   the bag's own variable) to sorted candidates (``_by_head``);
+   or more go to the generic join, variables in the most views first, whose
+   rows come out sorted in that join order.  An extra atom never raises the
+   join's AGM bound, and the bag enforces every atom inside it, as does
+   every bag read off its keys;
+2. each bag's rows become a map from interface (all columns except the
+   bag's own variable) to sorted candidates: rows in bag order split into
+   runs (``_by_head``), joined rows in another order go into one dict pass
+   (``_by_head_at``) that sorts only the heads, since among rows that share
+   a head the join order reduces to the bag's own variable;
 3. the full reducer runs on these maps.  Its leaves-up half is an
    existence filter (``_in_child``): last bag first, a candidate with no
    group in some child bag is dropped, and so is a group left empty.  A bag
@@ -53,6 +57,7 @@ import random
 import re
 import sys
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, groupby
@@ -386,6 +391,19 @@ def _by_head(rows: Iterable[tuple[int, ...]]) -> Groups:
     return {head: [*map(itemgetter(-1), run)] for head, run in groupby(rows, itemgetter(slice(None, -1)))}
 
 
+def _by_head_at(rows: Sequence[tuple[int, ...]], cols: Sequence[int]) -> Groups:
+    """Sorted distinct rows as a map from their values at ``cols[:-1]`` to their values at ``cols[-1]``.
+
+    Among rows that share a head only the ``cols[-1]`` value varies, so it
+    arrives increasing; only the heads are sorted.  ``cols`` names two or more columns.
+    """
+    *head, own = cols
+    groups: Groups = defaultdict(list)
+    for key, value in zip(zip(*(map(itemgetter(c), rows) for c in head)), map(itemgetter(own), rows)):
+        groups[key].append(value)
+    return {key: groups[key] for key in sorted(groups)}
+
+
 def _in_child(groups: Groups, cols: Sequence[int], child: Groups) -> Groups:
     """The full reducer's leaves-up filter: the candidates with a group in ``child``, empty groups dropped.
 
@@ -456,9 +474,11 @@ def build_index(q: JoinQuery, order: VariableOrder, db: Database) -> AccessIndex
                     views.append((rel, edge_keep))
             if len(views) == 1:  # a single view is the whole bag
                 groups = _by_head(views[0][0].rows)
-            else:  # join the variables in most views first, ties in order
-                by_views = sorted(keep, key=lambda v: -sum(v in vs for _, vs in views))
-                groups = _by_head(generic_join(SubQuery(keep, tuple(views)), by_views).rows)
+            else:  # join the variables in most views first, ties in order; rows come in that order
+                by_views = tuple(sorted(keep, key=lambda v: -sum(v in vs for _, vs in views)))
+                rows = generic_join(SubQuery(by_views, tuple(views)), by_views).rows
+                cols = [*map(by_views.index, keep)]  # the bag's columns in the joined rows
+                groups = _by_head(rows) if by_views == keep else _by_head_at(rows, cols)
                 multiatom_joins += 1
         for c, cols in decomp.links[i]:  # the covering child names every key already
             if c != covering:

@@ -186,8 +186,9 @@ def _check_field_size(p) -> None:
 class WeightedCliqueInstance:
     """Complete multipartite graph with integer or residue edge weights.
 
-    ``weights`` maps every cross pair (u, v) with u < v; ``p`` is None for
-    plain integer weights, otherwise all weights are residues in [0, p).
+    ``weights`` maps every cross pair (u, v) with u < v to an int (a bool is
+    one); ``p`` is None for plain integer weights, otherwise all weights are
+    residues in [0, p).
     """
 
     parts: tuple[tuple[int, ...], ...]
@@ -215,6 +216,9 @@ class WeightedCliqueInstance:
                 for v in self.parts[b_part]:
                     if (min(u, v), max(u, v)) not in self.weights:
                         raise InputError(f"missing cross edge ({u}, {v})")
+        stray = set(map(type, self.weights.values())) - {int, bool}
+        if stray:
+            raise InputError(f"edge weights must be integers, got {sorted(t.__name__ for t in stray)}")
         if self.p is not None:
             _check_field_size(self.p)
             for w in self.weights.values():
@@ -752,7 +756,7 @@ def write_partite_graph(path: str | Path, g: WeightedCliqueInstance) -> None:
         raise InputError(f"cannot write graph file {path}: it stores no field size (p = {g.p})")
     lines = ["parts " + " ".join(str(len(part)) for part in g.parts)]
     for (u, v) in sorted(g.weights):
-        lines.append(f"{u} {v} {g.weights[(u, v)]}")
+        lines.append(f"{u} {v} {g.weights[(u, v)]:d}")  # a bool as 0 or 1
     try:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
     except OSError as exc:

@@ -2,12 +2,18 @@
 
 ``generic_join`` is Generic Join over hash tries (Ngo, Ré, Rudra, "Skew
 strikes back", SIGMOD Record 2013): each relation view becomes nested dicts
-over its variables in a caller-chosen order.  At each variable the join
-iterates the keys of the view node with the fewest children, keeps a value
-only if every other view node there has it as a key, and descends into the
-children.  ``naive_join`` computes the same answer set by filtering the
-product of the per-variable candidate domains; it exists purely as a test
-oracle.  Neither knows of a database: views in, rows out.
+over its variables in a caller-chosen join order, filled from its rows sorted
+in that order, so every trie node yields its keys in increasing order.  At
+each variable the join iterates the keys of the view node with the fewest
+children, keeps a value only if every other view node there has it as a key,
+and descends into the children; its rows thus come out increasing in the join
+order.  Once each variable left is the last variable of a view of its own,
+those variables are independent: the rest of a row is the product of the
+views' nodes (a factorised tail, as in Olteanu and Závodný, TODS 2015), one
+``itertools.product`` call per prefix.  ``naive_join`` computes the same
+answer set by filtering the product of the per-variable candidate domains; it
+exists purely as a test oracle.  Neither knows of a database: views in, rows
+out.
 """
 
 from __future__ import annotations
@@ -66,15 +72,20 @@ def _collapse_repeats(rel: Relation, vs: tuple[str, ...]) -> tuple[Relation, tup
     return Relation(len(cols), keep), tuple(first.keys())
 
 
-def _extend(users: list[list[int]], prefix: tuple[int, ...], nodes: list, out: list) -> None:
-    """Append to ``out`` every join row extending ``prefix``, in order.
+def _extend(users: list[list[int]], tail: int, prefix: tuple[int, ...], nodes: list, out: list) -> None:
+    """Append to ``out`` every join row extending ``prefix``, in increasing order.
 
     ``nodes[a]`` is atom a's trie node under ``prefix``, None below its last
     variable; ``users[d]`` lists the atoms whose tries branch on variable d.
+    From depth ``tail`` on, each variable is the last of its own view, so the
+    rest of a row is the product of those views' nodes.
     A module function, not a closure: a closure calling itself sits in a
     reference cycle with ``out``, and would keep every row until cyclic GC ran.
     """
     depth = len(prefix)
+    if depth == tail:
+        out.extend(map(prefix.__add__, product(*[nodes[a] for a, in users[depth:]])))
+        return
     here = [nodes[a] for a in users[depth]]
     lead = min(here, key=len)
     values = lead
@@ -88,15 +99,17 @@ def _extend(users: list[list[int]], prefix: tuple[int, ...], nodes: list, out: l
         below = nodes.copy()
         for a, node in zip(users[depth], here):
             below[a] = node[value]
-        _extend(users, prefix + (value,), below, out)
+        _extend(users, tail, prefix + (value,), below, out)
 
 
 def generic_join(sq: SubQuery, order: Sequence[str]) -> Relation:
-    """All assignments satisfying every view, in worst-case-optimal time.
+    """All assignments satisfying every view, in worst-case-optimal time, sorted in ``sq.output`` columns.
 
     ``order`` must enumerate the subquery variables; each view's hash trie
-    nests its variables in that order, and the recursion binds them in it.
-    A view with a repeated variable keeps the rows where those columns agree.
+    nests its variables in that order, and the recursion binds them in it, so
+    the rows come out increasing in ``order``.  When ``order`` is the output,
+    they are neither permuted nor sorted.  A view with a repeated variable
+    keeps the rows where those columns agree.
     """
     order = tuple(order)
     if sorted(order) != sorted(sq.output):
@@ -115,16 +128,20 @@ def generic_join(sq: SubQuery, order: Sequence[str]) -> Relation:
         *inner, leaf = cols = sorted(range(len(vs)), key=lambda c: pos[vs[c]])
         for c in cols:
             users[pos[vs[c]]].append(len(roots))
-        trie: dict = {}
-        for row in rel.rows:
+        trie: dict = {}  # filled in join order, so every node's keys increase
+        for row in rel.rows if cols == sorted(cols) else sorted(rel.rows, key=itemgetter(*cols)):
             node = trie
             for c in inner:
                 node = node.setdefault(row[c], {})
             node[row[leaf]] = None
         roots.append(trie)
 
+    # The product tail: the longest suffix of variables that each have one user, all distinct.
+    tail = len(order)
+    while tail and len(users[tail - 1]) == 1 and users[tail - 1][0] not in sum(users[tail:], []):
+        tail -= 1
     out: list[tuple[int, ...]] = []
-    _extend(users, (), roots, out)
+    _extend(users, tail, (), roots, out)
     if order != sq.output:  # two or more columns, so itemgetter gives tuples
         out = list(map(itemgetter(*(pos[v] for v in sq.output)), out))
     return Relation(len(sq.output), out)

@@ -722,3 +722,25 @@ def test_partite_graph_write_refuses_graphs_it_cannot_store(tmp_path, case):
     with pytest.raises(InputError, match="cannot write graph file"):
         hd.write_partite_graph(path, g)
     assert not path.exists()
+
+
+# A str weight "3" would be written as 3 and read back as another graph; 1.5 and
+# None would be written as text that reading rejects; in field mode "3" meets < p.
+@pytest.mark.parametrize(
+    "weight, p, stray",
+    [("3", None, "str"), (1.5, None, "float"), (None, None, "NoneType"), ("3", 7, "str")],
+    ids=["str", "float", "none", "str-field-mode"],
+)
+def test_weighted_clique_rejects_non_int_weights(weight, p, stray):
+    with pytest.raises(InputError, match=rf"edge weights must be integers, got \['{stray}'\]"):
+        hd.WeightedCliqueInstance(((1,), (2,), (3,)), {(1, 2): weight, (1, 3): 0, (2, 3): 4}, p)
+
+
+def test_bool_weights_are_written_as_zero_and_one(tmp_path):
+    g = hd.WeightedCliqueInstance(((1,), (2,), (3,)), {(1, 2): True, (1, 3): False, (2, 3): 5})
+    path = tmp_path / "graph.txt"
+    hd.write_partite_graph(path, g)
+    assert path.read_text(encoding="utf-8") == "parts 1 1 1\n1 2 1\n1 3 0\n2 3 5\n"
+    again = hd.read_partite_graph(path)
+    assert again.weights == {(1, 2): 1, (1, 3): 0, (2, 3): 5} == g.weights
+    assert hd.brute_zero_clique(again) == hd.brute_zero_clique(g) is None

@@ -20,6 +20,24 @@ def test_tracing_entry_points_resolve():
     assert hardness.build_index is access.build_index
 
 
+def test_traced_build_records_its_join():
+    # perfbench/layers.json maps wcoj.generic_join_s to setup_s through the spans of
+    # access.generic_join; a build that joined under another name would read 0.
+    tracing = runpy.run_path(str(ROOT / "perfbench" / "tracing.py"))
+    q, order = hardness.star_query(3)
+    arms = {f"R{i}": (["int", "int"], [(x, z) for x in range(i + 1) for z in range(3)]) for i in (1, 2, 3)}
+    db = storage.build_database(arms)
+    tracer = tracing["Tracer"]()
+    tracer.install()
+    try:
+        ix = access.build_index(q, order, db)
+    finally:
+        tracer.uninstall()
+    join = tracer.totals()[("", "wcoj.generic_join")]
+    assert join.calls == ix.stats["multiatom_joins"] == 1
+    assert join.work == ix.stats["bag_rows"][-1] == 2 * 3 * 4 * 3
+
+
 def test_layers_map_names_the_benchmark_per_layer_metrics():
     # perfbench/run.py refuses to run when these differ; catch it without a run.
     layers = json.loads((ROOT / "perfbench" / "layers.json").read_text(encoding="utf-8"))

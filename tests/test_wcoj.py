@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction as F
-from itertools import permutations
+from itertools import permutations, product
+from operator import lt
 
 import pytest
 
-from lexjoin import SubQuery, agm_bound_holds, build_database, generic_join, naive_join
+from lexjoin import SubQuery, agm_bound_holds, build_database, generic_join, naive_join, wcoj
 from lexjoin.decomposition import fractional_edge_cover
 from lexjoin.errors import InputError
 from lexjoin.hypergraph import Hypergraph
@@ -88,6 +89,101 @@ def test_one_relation_behind_several_atoms():
         expected = naive_join(sq).rows
         for order in permutations(sq.output):
             assert generic_join(sq, order).rows == expected
+
+
+def random_views(rng, scopes, domain=4, max_rows=12):
+    """The subquery over all variables of ``scopes``, one random int view per scope."""
+    raw = {}
+    for a, vs in enumerate(scopes):
+        rows = {tuple(rng.randrange(domain) for _ in vs) for _ in range(rng.randint(1, max_rows))}
+        raw[f"R{a}"] = (["int"] * len(vs), rows)
+    output = tuple(dict.fromkeys(v for vs in scopes for v in vs))
+    return views(build_database(raw), output, [(f"R{a}", vs) for a, vs in enumerate(scopes)])
+
+
+def assert_every_order_matches_naive(sq):
+    expected = naive_join(sq).rows
+    for order in permutations(sq.output):
+        assert generic_join(sq, order).rows == expected, order
+
+
+# Scopes whose last variables, under some orders, each end one view of their own:
+# the join emits the rest of a row as a product.
+PRODUCT_TAILS = {
+    "star3": [("z", "x1"), ("z", "x2"), ("z", "x3")],
+    "star4": [("z", "x1"), ("z", "x2"), ("z", "x3"), ("z", "x4")],
+    "repeated-variable": [("z", "x"), ("z", "y", "y")],
+    "unary-arms": [("x",), ("y",), ("z", "x")],
+}
+# Tails that are no product: a view branching on two trailing variables, a
+# trailing variable shared by two views, and the triangle LW3.
+JOINED_TAILS = {
+    "one-view-branches": [("z", "x", "y"), ("z",)],
+    "shared-trailing": [("z", "x"), ("y", "x"), ("z", "y")],
+    "lw3": [("x2", "x3"), ("x1", "x3"), ("x1", "x2")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRODUCT_TAILS) + sorted(JOINED_TAILS))
+def test_tails_match_naive_under_every_order(case):
+    rng = random.Random(case)
+    scopes = {**PRODUCT_TAILS, **JOINED_TAILS}[case]
+    for _ in range(15):
+        assert_every_order_matches_naive(random_views(rng, scopes))
+
+
+def test_product_tail_is_one_call_per_head(monkeypatch):
+    # The 3-star joined z first: one product of the three arms per z.
+    calls = []
+
+    def counted(*nodes):
+        calls.append(len(nodes))
+        return product(*nodes)
+
+    arms = {i: [(z, x) for z in range(3) for x in range(i + 2)] for i in (1, 2, 3)}
+    db = build_database({f"R{i}": (["int", "int"], rows) for i, rows in arms.items()})
+    sq = views(db, ("z", "x1", "x2", "x3"), [(f"R{i}", ("z", f"x{i}")) for i in (1, 2, 3)])
+    monkeypatch.setattr(wcoj, "product", counted)
+    assert len(generic_join(sq, sq.output)) == 3 * 3 * 4 * 5
+    assert calls == [3, 3, 3]
+
+
+def test_nullary_view_inside_a_tail():
+    db = build_database(
+        {
+            "R": (["int", "int"], [(1, 2), (1, 3), (2, 4)]),
+            "S": (["int"], [(5,), (6,)]),
+            "E": ([], []),
+            "T": ([], [()]),
+        }
+    )
+    for symbol, expected in (("E", 0), ("T", 6)):
+        sq = views(db, ("z", "x", "y"), (("R", ("z", "x")), (symbol, ()), ("S", ("y",))))
+        assert len(naive_join(sq)) == expected
+        assert_every_order_matches_naive(sq)
+
+
+def test_rows_come_in_join_order_before_any_sort(monkeypatch):
+    # Each trie is filled in join order, so the rows the join hands to Relation
+    # already increase: the Relation keeps them and sorts nothing.
+    rng = random.Random(16)
+    cases = []
+    for _ in range(60):
+        sq = random_subquery_instance(rng)
+        cases += [(SubQuery(order, sq.atoms), order) for order in permutations(sq.output)]
+    emitted = []
+
+    class Recorded(Relation):
+        def __init__(self, arity, rows):
+            emitted.append(rows := list(rows))
+            super().__init__(arity, rows)
+
+    monkeypatch.setattr(wcoj, "Relation", Recorded)
+    for sq, order in cases:
+        out = generic_join(sq, order)
+        rows = emitted[-1]
+        assert all(map(lt, rows, rows[1:])), order
+        assert list(out.rows) == rows
 
 
 def test_random_instances_match_naive():
