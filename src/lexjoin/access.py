@@ -16,10 +16,10 @@ Build phase, driven by the order-induced decomposition, whose bag forest
    join's AGM bound, and the bag enforces every atom inside it, as does
    every bag read off its keys;
 2. each bag's rows become a map from interface (all columns except the
-   bag's own variable) to sorted candidates: rows in bag order split into
-   runs (``_by_head``), joined rows in another order go into one dict pass
-   (``_by_head_at``) that sorts only the heads, since among rows that share
-   a head the join order reduces to the bag's own variable;
+   bag's own variable) to sorted candidates: rows in bag order (a single
+   view, a child's keys) split into runs (``_by_head``), joined rows go into
+   one dict pass (``_by_head_at``) that sorts only the heads, since among
+   rows that share a head the join order reduces to the bag's own variable;
 3. the full reducer runs on these maps.  Its leaves-up half is an
    existence filter (``_in_child``): last bag first, a candidate with no
    group in some child bag is dropped, and so is a group left empty.  A bag
@@ -60,7 +60,7 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, groupby
+from itertools import accumulate, groupby, repeat
 from math import floor, prod
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
@@ -395,11 +395,13 @@ def _by_head_at(rows: Sequence[tuple[int, ...]], cols: Sequence[int]) -> Groups:
     """Sorted distinct rows as a map from their values at ``cols[:-1]`` to their values at ``cols[-1]``.
 
     Among rows that share a head only the ``cols[-1]`` value varies, so it
-    arrives increasing; only the heads are sorted.  ``cols`` names two or more columns.
+    arrives increasing; only the heads are sorted.  With one column in
+    ``cols``, every row falls under the empty head.
     """
     *head, own = cols
+    keys = zip(*(map(itemgetter(c), rows) for c in head)) if head else repeat((), len(rows))
     groups: Groups = defaultdict(list)
-    for key, value in zip(zip(*(map(itemgetter(c), rows) for c in head)), map(itemgetter(own), rows)):
+    for key, value in zip(keys, map(itemgetter(own), rows)):
         groups[key].append(value)
     return {key: groups[key] for key in sorted(groups)}
 
@@ -477,8 +479,7 @@ def build_index(q: JoinQuery, order: VariableOrder, db: Database) -> AccessIndex
             else:  # join the variables in most views first, ties in order; rows come in that order
                 by_views = tuple(sorted(keep, key=lambda v: -sum(v in vs for _, vs in views)))
                 rows = generic_join(SubQuery(by_views, tuple(views)), by_views).rows
-                cols = [*map(by_views.index, keep)]  # the bag's columns in the joined rows
-                groups = _by_head(rows) if by_views == keep else _by_head_at(rows, cols)
+                groups = _by_head_at(rows, [*map(by_views.index, keep)])
                 multiatom_joins += 1
         for c, cols in decomp.links[i]:  # the covering child names every key already
             if c != covering:

@@ -441,6 +441,8 @@ def test_reached_keys_for_build_and_load(tmp_path):
 # meeting it in a positive cover edge: the two atoms of a self-join share one
 # Relation yet are two views.  Under four orders, such as (a, c, x, b), the
 # last case's bag {a, c, x} has the cover edge {a, x}, which only R spans.
+# In "two-atoms-one-variable" the joined bag has no interface: every row
+# falls under the empty head.
 SEMIJOIN_CASES = {
     "self-join": (
         "Q(x,y) :- R(x,y), R(y,x).",
@@ -456,6 +458,10 @@ SEMIJOIN_CASES = {
     "two-atoms-one-scope": (
         "Q(x,y) :- R(x,y), S(x,y).",
         {"R": [(1, 1), (1, 2), (2, 1), (3, 3)], "S": [(1, 2), (2, 1), (2, 2), (3, 1)]},
+    ),
+    "two-atoms-one-variable": (
+        "Q(x) :- R(x), S(x).",
+        {"R": [(1,), (2,), (3,)], "S": [(2,), (3,), (4,)]},
     ),
     "partial-atom-covers": (
         "Q(a,b,c,x) :- R(a,b,x), S(x,c).",
