@@ -11,15 +11,17 @@ Build phase, driven by the order-induced decomposition, whose bag forest
    Any other bag takes one view per atom that lies inside it or meets it in
    a positive edge of its optimal fractional edge cover (projected unless
    in bag order).  One view is the whole bag, the cheap rho* = 1 case; two
-   or more go to the generic join, variables in the most views first, whose
-   rows come out sorted in that join order.  An extra atom never raises the
-   join's AGM bound, and the bag enforces every atom inside it, as does
-   every bag read off its keys;
+   or more go to the generic join as a subquery whose output lists the
+   variables in the most views first.  The join binds them in that order
+   and returns its rows sorted in it, as a plain list.  An extra atom never
+   raises the join's AGM bound, and the bag enforces every atom inside it,
+   as does every bag read off its keys;
 2. each bag's rows become a map from interface (all columns except the
    bag's own variable) to sorted candidates: rows in bag order (a single
-   view, a child's keys) split into runs (``_by_head``), joined rows go into
-   one dict pass (``_by_head_at``) that sorts only the heads, since among
-   rows that share a head the join order reduces to the bag's own variable;
+   view, a child's keys) split into runs (``_by_head``), the join's rows go
+   as they come into one dict pass (``_by_head_at``) that sorts only the
+   heads, since among rows that share a head the join order reduces to the
+   bag's own variable;
 3. the full reducer runs on these maps.  Its leaves-up half is an
    existence filter (``_in_child``): last bag first, a candidate with no
    group in some child bag is dropped, and so is a group left empty.  A bag
@@ -478,7 +480,7 @@ def build_index(q: JoinQuery, order: VariableOrder, db: Database) -> AccessIndex
                 groups = _by_head(views[0][0].rows)
             else:  # join the variables in most views first, ties in order; rows come in that order
                 by_views = tuple(sorted(keep, key=lambda v: -sum(v in vs for _, vs in views)))
-                rows = generic_join(SubQuery(by_views, tuple(views)), by_views).rows
+                rows = generic_join(SubQuery(by_views, tuple(views)))
                 groups = _by_head_at(rows, [*map(by_views.index, keep)])
                 multiatom_joins += 1
         for c, cols in decomp.links[i]:  # the covering child names every key already

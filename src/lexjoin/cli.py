@@ -247,7 +247,19 @@ def _random_relations(rng: random.Random, symbols, count: int, domains: tuple[in
     return relations
 
 
+def _check_values(relations: int, arity: int, rows: int) -> None:
+    """Refuse, before the query or a row is built, relations that would hold too many values.
+
+    Each of the ``relations`` holds its atom's ``arity`` variables and
+    ``rows`` rows of as many values; MAX_INSTANCE_VALUES bounds the total.
+    """
+    cap = hardness.MAX_INSTANCE_VALUES
+    if min(relations, arity, rows) >= 0 and relations * arity * (rows + 1) > cap:
+        raise InputError(f"the instance would hold more than {cap} values")
+
+
 def _gen_star(args, rng: random.Random):
+    _check_values(args.k, 2, args.per_relation)
     q, _ = hardness.star_query(args.k)  # its worst order is its head order
     domains = (args.x_domain, args.z_domain)
     relations = _random_relations(rng, q.symbols, args.per_relation, domains)
@@ -289,6 +301,7 @@ def _gen_zeroclique(args, rng: random.Random):
 
 
 def _gen_lw(args, rng: random.Random):
+    _check_values(args.k, args.k - 1, args.per_relation)
     q = hardness.lw_query(args.k)
     domains = (args.domain,) * (args.k - 1)
     relations = _random_relations(rng, q.symbols, args.per_relation, domains)

@@ -437,7 +437,12 @@ def interval_tuples(p: int, n: int, rho: float, k: int) -> Iterator[IntervalTupl
     """
     if not (isinstance(rho, numbers.Real) and 0 <= rho < math.inf):
         raise InputError(f"rho must be a finite real number at least 0, got {rho!r}")
-    pieces = max(1, math.ceil(n**rho))
+    # Past log_n(p), n**rho exceeds the p cells there are at most: take p rather
+    # than a power that overflows a float, or takes forever as an exact int.
+    if isinstance(p, int) and p > 0 and n > 1 and rho > math.log(p, n):
+        pieces = p
+    else:
+        pieces = max(1, math.ceil(n**rho))
     cells = interval_partition(p, min(pieces, p))
     for chosen in product(cells, repeat=k + 1):
         tup = IntervalTuple(chosen, p)
@@ -651,6 +656,7 @@ def unique_via_bit_probing(
 
 MAX_QUERY_COMBINATIONS = 10**5
 MAX_PARTITE_EDGES = 10**5
+MAX_INSTANCE_VALUES = 10**6  # the values a generated set family or relation instance may hold
 
 
 def random_set_family(
@@ -665,7 +671,10 @@ def random_set_family(
 
     The default lists all ``sets_per_family ** k`` combinations, so above
     MAX_QUERY_COMBINATIONS of them it raises InputError before drawing
-    anything: pass ``queries`` to draw that many at random instead.
+    anything: pass ``queries`` to draw that many at random instead.  It
+    raises InputError before drawing, too, for an instance of more than
+    MAX_INSTANCE_VALUES values, counting the universe, every set at its
+    largest and every query's k indices, and one more per family and set.
     """
     _check_sizes(1, "an instance needs at least one set family", k=k)
     _check_sizes(
@@ -678,11 +687,20 @@ def random_set_family(
     )
     if queries and not sets_per_family:
         raise InputError("cannot draw queries from families without sets")
-    if queries is None and sets_per_family**k > MAX_QUERY_COMBINATIONS:
-        raise InputError(
-            f"every index combination is {sets_per_family**k} queries, more than "
-            f"{MAX_QUERY_COMBINATIONS}: pass queries to draw that many at random"
-        )
+    count = queries
+    if queries is None:
+        # Past this exponent any base of 2 or more exceeds the cap, so a large k costs nothing.
+        exponent = min(k, MAX_QUERY_COMBINATIONS.bit_length())
+        if sets_per_family**exponent > MAX_QUERY_COMBINATIONS:
+            shown = sets_per_family**k if k == exponent else f"{sets_per_family}**{k}"
+            raise InputError(
+                f"every index combination is {shown} queries, more than "
+                f"{MAX_QUERY_COMBINATIONS}: pass queries to draw that many at random"
+            )
+        count = sets_per_family**k
+    per_family = 1 + sets_per_family * (1 + min(max_set_size, universe_size)) + count
+    if universe_size + k * per_family > MAX_INSTANCE_VALUES:
+        raise InputError(f"the instance would hold more than {MAX_INSTANCE_VALUES} values")
     universe = tuple(range(universe_size))
     families = tuple(
         tuple(
@@ -775,6 +793,13 @@ def read_partite_graph(path: str | Path) -> WeightedCliqueInstance:
         raise InputError(f"{path}: bad parts header") from None
     if any(size < 0 for size in sizes):
         raise InputError(f"{path}: negative part size in the parts header")
+    # Before a part is built: a complete multipartite graph has an edge line per cross pair.
+    # More lines than pairs meet a check below that names the line.
+    edge_lines = len(lines) - 1
+    if sum(sizes) ** 2 - sum(size * size for size in sizes) > 2 * edge_lines:
+        raise InputError(
+            f"{path}: missing cross edge: the parts header implies more than {edge_lines} edges"
+        )
     part_lists = []
     start = 1
     for size in sizes:

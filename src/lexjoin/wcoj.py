@@ -1,19 +1,20 @@
 """Multiway joins: a generic worst-case-optimal join and a brute-force oracle.
 
 ``generic_join`` is Generic Join over hash tries (Ngo, Ré, Rudra, "Skew
-strikes back", SIGMOD Record 2013): each relation view becomes nested dicts
-over its variables in a caller-chosen join order, filled from its rows sorted
-in that order, so every trie node yields its keys in increasing order.  At
-each variable the join iterates the keys of the view node with the fewest
-children, keeps a value only if every other view node there has it as a key,
-and descends into the children; its rows thus come out increasing in the join
-order.  Once each variable left is the last variable of a view of its own,
-those variables are independent: the rest of a row is the product of the
-views' nodes (a factorised tail, as in Olteanu and Závodný, TODS 2015), one
-``itertools.product`` call per prefix.  ``naive_join`` computes the same
-answer set by filtering the product of the per-variable candidate domains; it
-exists purely as a test oracle.  Neither knows of a database: views in, rows
-out.
+strikes back", SIGMOD Record 2013).  A subquery's output tuple is its join
+order: each relation view becomes nested dicts over its variables in that
+order, filled from its rows sorted in it, so every trie node yields its keys
+in increasing order.  At each variable the join iterates the keys of the view
+node with the fewest children, keeps a value only if every other view node
+there has it as a key, and descends into the children; its rows thus come out
+strictly increasing in the output, with no sort of their own.  Once each
+variable left is the last variable of a view of its own, those variables are
+independent: the rest of a row is the product of the views' nodes (a
+factorised tail, as in Olteanu and Závodný, TODS 2015), one
+``itertools.product`` call per prefix.  ``naive_join`` computes the same rows
+by filtering the product of the per-variable candidate domains; it exists
+purely as a test oracle.  Neither knows of a database: views in, a list of
+rows out.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .storage import Relation
 
 @dataclass(frozen=True)
 class SubQuery:
-    """Output variables plus atoms, each a relation view ``(Relation, variables)``."""
+    """Output variables, in join order, plus atoms, each a relation view ``(Relation, variables)``."""
 
     output: tuple[str, ...]
     atoms: tuple[tuple[Relation, tuple[str, ...]], ...]
@@ -102,27 +103,23 @@ def _extend(users: list[list[int]], tail: int, prefix: tuple[int, ...], nodes: l
         _extend(users, tail, prefix + (value,), below, out)
 
 
-def generic_join(sq: SubQuery, order: Sequence[str]) -> Relation:
-    """All assignments satisfying every view, in worst-case-optimal time, sorted in ``sq.output`` columns.
+def generic_join(sq: SubQuery) -> list[tuple[int, ...]]:
+    """All assignments satisfying every view, in worst-case-optimal time, strictly increasing in ``sq.output``.
 
-    ``order`` must enumerate the subquery variables; each view's hash trie
-    nests its variables in that order, and the recursion binds them in it, so
-    the rows come out increasing in ``order``.  When ``order`` is the output,
-    they are neither permuted nor sorted.  A view with a repeated variable
-    keeps the rows where those columns agree.
+    Each view's hash trie nests its variables in ``sq.output`` order, and the
+    recursion binds them in it, so the rows come out sorted with no sort of
+    their own.  A view with a repeated variable keeps the rows where those
+    columns agree.
     """
-    order = tuple(order)
-    if sorted(order) != sorted(sq.output):
-        raise InputError("join order must be a permutation of the output variables")
-    pos = {v: i for i, v in enumerate(order)}
+    pos = {v: i for i, v in enumerate(sq.output)}
 
-    # roots[a] is atom a's trie; users[d] lists the atoms whose tries branch on order[d].
+    # roots[a] is atom a's trie; users[d] lists the atoms whose tries branch on output[d].
     roots: list[dict] = []
-    users: list[list[int]] = [[] for _ in order]
+    users: list[list[int]] = [[] for _ in sq.output]
     for rel, vs in sq.atoms:
         rel, vs = _collapse_repeats(rel, vs)
         if len(rel) == 0:
-            return Relation(len(sq.output), [])
+            return []
         if not vs:  # a nullary view with its one row () constrains nothing
             continue
         *inner, leaf = cols = sorted(range(len(vs)), key=lambda c: pos[vs[c]])
@@ -137,37 +134,34 @@ def generic_join(sq: SubQuery, order: Sequence[str]) -> Relation:
         roots.append(trie)
 
     # The product tail: the longest suffix of variables that each have one user, all distinct.
-    tail = len(order)
+    tail = len(users)
     while tail and len(users[tail - 1]) == 1 and users[tail - 1][0] not in sum(users[tail:], []):
         tail -= 1
     out: list[tuple[int, ...]] = []
     _extend(users, tail, (), roots, out)
-    if order != sq.output:  # two or more columns, so itemgetter gives tuples
-        out = list(map(itemgetter(*(pos[v] for v in sq.output)), out))
-    return Relation(len(sq.output), out)
+    return out
 
 
-def naive_join(sq: SubQuery) -> Relation:
-    """Oracle: filter the product of per-variable candidate domains of the views."""
+def naive_join(sq: SubQuery) -> list[tuple[int, ...]]:
+    """Oracle: filter the product of per-variable candidate domains of the views, in ``sq.output`` order."""
     domains: dict[str, set[int] | None] = {v: None for v in sq.output}
     for rel, vs in sq.atoms:
         for col, v in enumerate(vs):
             values = {row[col] for row in rel.rows}
             domains[v] = values if domains[v] is None else domains[v] & values
-    var_list = list(sq.output)
     pools = []
-    for v in var_list:
+    for v in sq.output:
         dom = domains[v]
         if not dom:
-            return Relation(len(sq.output), [])
+            return []
         pools.append(sorted(dom))
     rows = []
     row_sets = [(frozenset(rel.rows), vs) for rel, vs in sq.atoms]
     for combo in product(*pools):
-        binding = dict(zip(var_list, combo))
+        binding = dict(zip(sq.output, combo))
         if all(tuple(binding[v] for v in vs) in rs for rs, vs in row_sets):
             rows.append(combo)
-    return Relation(len(sq.output), rows)
+    return rows
 
 
 def agm_bound_holds(out_size: int, cover_weights: Sequence[Fraction], sizes: Sequence[int]) -> bool:

@@ -465,6 +465,28 @@ def test_gen_star_builds_and_counts(tmp_path, capsys):
     assert int(stats["count"]) > 0
 
 
+# The values each family's GEN_FLAGS instance holds, as hardness.MAX_INSTANCE_VALUES counts them.
+GEN_VALUES = {
+    "star": 2 * 2 * (12 + 1),
+    "setdisj": 32 + 2 * (1 + 10 * (1 + 8) + 10**2),
+    "lw": 2 * 1 * (12 + 1),
+}
+
+
+@pytest.mark.parametrize("family", list(GEN_VALUES))
+def test_gen_over_the_value_cap_exit_2(tmp_path, capsys, monkeypatch, family):
+    # One value under the instance: refused before a row is drawn, no directory made.
+    values = GEN_VALUES[family]
+    monkeypatch.setattr(cli.hardness, "MAX_INSTANCE_VALUES", values - 1)
+    args = ["gen", family, "--seed", "5", *GEN_FLAGS[family], "-o"]
+    code, _, err = run(capsys, *args, tmp_path / "over")
+    assert code == 2
+    assert f"error: the instance would hold more than {values - 1} values" in err
+    assert not (tmp_path / "over").exists()
+    monkeypatch.setattr(cli.hardness, "MAX_INSTANCE_VALUES", values)
+    assert run(capsys, *args, tmp_path / "at")[0] == 0
+
+
 # Generator arguments no instance satisfies: (argv after "gen", error message).
 GEN_BAD_ARGS = {
     "star-fewer-pairs-than-rows": (
@@ -501,6 +523,10 @@ GEN_BAD_ARGS = {
     "setdisj-too-many-combinations": (
         ["setdisj", "--sets", "20", "--k", "4"],
         "every index combination is 160000 queries, more than 100000: pass queries",
+    ),
+    "setdisj-combinations-past-the-printable": (
+        ["setdisj", "--sets", "2", "--k", "20000"],
+        "every index combination is 2**20000 queries, more than 100000: pass queries",
     ),
 }
 

@@ -1,6 +1,9 @@
 import hashlib
 import math
 import random
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction as F
 from itertools import product
 
@@ -11,6 +14,7 @@ from lexjoin.access import build_index
 from lexjoin.decomposition import fractional_edge_cover, incompatibility_number
 from lexjoin.errors import InputError
 from lexjoin.query import hypergraph_of
+from tests import src_env
 
 
 # --------------------------------------------------------------------- #
@@ -133,6 +137,24 @@ def test_random_set_family_rejects_bad_k_before_drawing(k):
     with pytest.raises(InputError, match="at least one set family|k must be an integer"):
         hd.random_set_family(rng, k, 3, 8, 4)
     assert rng.getstate() == state
+
+
+def test_random_set_family_refuses_more_values_than_the_cap_before_drawing(monkeypatch):
+    # 8 universe values, then per family 1 + 3 sets of 1 + 4 values + 9 queries: 8 + 2 * 25 = 58.
+    rng = random.Random(0)
+    state = rng.getstate()
+    monkeypatch.setattr(hd, "MAX_INSTANCE_VALUES", 57)
+    with pytest.raises(InputError, match="the instance would hold more than 57 values"):
+        hd.random_set_family(rng, 2, 3, 8, 4)
+    assert rng.getstate() == state
+    monkeypatch.setattr(hd, "MAX_INSTANCE_VALUES", 58)
+    assert len(hd.random_set_family(rng, 2, 3, 8, 4).queries) == 9
+
+
+def test_random_set_family_refuses_a_large_k_without_its_power():
+    # 2**20000 has more digits than an int may print; the message shows the power instead.
+    with pytest.raises(InputError, match=r"every index combination is 2\*\*20000 queries"):
+        hd.random_set_family(random.Random(0), 20000, 2, 8, 4)
 
 
 @pytest.mark.parametrize("size", ["sets_per_family", "universe_size", "max_set_size", "queries"])
@@ -422,6 +444,21 @@ def test_interval_tuple_count_bound():
         assert count <= 4 * k * cells**k
 
 
+def test_interval_tuples_take_p_cells_past_a_large_float_rho():
+    # 24**1000.0 overflows a float; any n**rho of at least p = 7 gives 7 cells.
+    assert list(hd.interval_tuples(7, 24, 1000.0, 2)) == list(hd.interval_tuples(7, 24, 1.0, 2))
+
+
+def test_interval_tuples_take_p_cells_past_a_large_int_rho():
+    # 24**(10**400) as an exact int never finishes: in a subprocess with a timeout.
+    code = "from lexjoin import hardness as hd; print(len(list(hd.interval_tuples(7, 24, 10**400, 2))))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == len(list(hd.interval_tuples(7, 24, 1, 2))) == 49
+
+
 # --------------------------------------------------------------------- #
 # the reduction
 
@@ -681,6 +718,7 @@ BAD_GRAPHS = {
     "edge-inside-part": (b"parts 2 1\n1 2 1\n1 3 1\n2 3 1\n", "inside one part"),
     "negative-part-size": (b"parts -1 2\n", "negative part size"),
     "repeated-edge": (b"parts 1 1\n1 2 1\n2 1 5\n", "repeated edge"),
+    "missing-cross-edge": (b"parts 1 1 1\n1 2 1\n1 3 1\n", "missing cross edge"),
 }
 
 
@@ -692,6 +730,20 @@ def test_partite_graph_bad_input(tmp_path, case):
         path.write_bytes(content)
     with pytest.raises(InputError, match=message):
         hd.read_partite_graph(path)
+
+
+def test_partite_graph_header_is_checked_against_the_edge_lines_first(tmp_path):
+    # Two million cross pairs and no edge line: refused before a part is built.
+    path = tmp_path / "graph.txt"
+    path.write_text("parts 2000000 1\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="missing cross edge"):
+            hd.read_partite_graph(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_partite_graph_write_under_missing_directory(tmp_path):

@@ -51,7 +51,7 @@ def test_agreement_with_domain_product_filter():
         pos = {v: i for i, v in enumerate(q.variables)}
         via_product = {
             tuple(row[pos[v]] for v in order.variables)
-            for row in naive_join(sq).rows
+            for row in naive_join(sq)
         }
         assert via_hash == via_product
 
