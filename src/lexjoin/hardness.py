@@ -16,9 +16,9 @@ import numbers
 import random
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import chain, product
+from itertools import accumulate, chain, combinations, pairwise, product
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .access import AccessIndex, build_index, value_count
 from .errors import InputError
@@ -176,6 +176,33 @@ def projected_star_test(ix: AccessIndex, indices: Sequence[int]) -> bool:
 # weighted multipartite cliques
 
 
+def _numbered_parts(sizes: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    """Parts of the given sizes over vertices 1..n, numbered in part order."""
+    return tuple(tuple(range(lo + 1, hi + 1)) for lo, hi in pairwise(accumulate(sizes, initial=0)))
+
+
+def _check_vertices(parts: int, vertices: int, where: str = "") -> None:
+    """Refuse more than MAX_PARTITE_VERTICES parts or vertices, naming only the cap."""
+    if max(parts, vertices) > MAX_PARTITE_VERTICES:
+        raise InputError(
+            f"{where}the graph would have more than {MAX_PARTITE_VERTICES} parts or vertices"
+        )
+
+
+def _equal_parts(parts: int, part_size: int) -> tuple[tuple[int, ...], ...]:
+    """``parts`` numbered parts of ``part_size`` vertices, refused past either cap before one is built."""
+    _check_vertices(parts, parts * part_size)
+    edges = parts * (parts - 1) // 2 * part_size**2
+    if edges > MAX_PARTITE_EDGES:
+        raise InputError(f"the graph would have {edges} edges, more than {MAX_PARTITE_EDGES}")
+    return _numbered_parts([part_size] * parts)
+
+
+def _cross_pairs(parts: Sequence[Sequence[int]]) -> Iterator[tuple[int, int]]:
+    """Every pair (u, v) across two parts, u's part first, in part order."""
+    return chain.from_iterable(product(a, b) for a, b in combinations(parts, 2))
+
+
 def _check_field_size(p) -> None:
     """Reject a field size that is not an int of at least 2."""
     if not (isinstance(p, int) and p >= 2):
@@ -209,13 +236,9 @@ class WeightedCliqueInstance:
                 raise InputError(f"edge ({u}, {v}) has a vertex outside every part")
             if idx[u] == idx[v]:
                 raise InputError(f"edge ({u}, {v}) lies inside one part")
-        for a_part, b_part in product(range(len(self.parts)), repeat=2):
-            if a_part >= b_part:
-                continue
-            for u in self.parts[a_part]:
-                for v in self.parts[b_part]:
-                    if (min(u, v), max(u, v)) not in self.weights:
-                        raise InputError(f"missing cross edge ({u}, {v})")
+        for u, v in _cross_pairs(self.parts):
+            if (min(u, v), max(u, v)) not in self.weights:
+                raise InputError(f"missing cross edge ({u}, {v})")
         stray = set(map(type, self.weights.values())) - {int, bool}
         if stray:
             raise InputError(f"edge weights must be integers, got {sorted(t.__name__ for t in stray)}")
@@ -233,11 +256,7 @@ class WeightedCliqueInstance:
         return self.weights[(min(u, v), max(u, v))]
 
     def clique_weight(self, vertices: Sequence[int]) -> int:
-        total = 0
-        vs = list(vertices)
-        for a in range(len(vs)):
-            for b in range(a + 1, len(vs)):
-                total += self.weight(vs[a], vs[b])
+        total = sum(self.weight(u, v) for u, v in combinations(vertices, 2))
         return total % self.p if self.p is not None else total
 
     def is_zero_clique(self, vertices: Sequence[int]) -> bool:
@@ -264,30 +283,24 @@ def to_complete_k_partite(
     Copies of a real edge keep its weight; pairs without an edge (including
     both copies of one vertex) get a weight too large for any zero sum to
     absorb, so zero cliques correspond exactly to zero cliques of the input.
+    Sizes that are not ints, fewer than two parts and a graph past
+    MAX_PARTITE_VERTICES or MAX_PARTITE_EDGES raise InputError before any
+    part is built.
     """
-    if parts < 2:
-        raise InputError("need at least two parts")
+    _check_sizes(2, "need at least two parts", parts=parts)
+    _check_sizes(0, "the vertex count must be non-negative", n_vertices=n_vertices)
+    part_lists = _equal_parts(parts, n_vertices)
     for (u, v) in edge_weights:
         if not (1 <= u <= n_vertices and 1 <= v <= n_vertices and u != v):
             raise InputError(f"bad edge ({u}, {v})")
     norm = {(min(u, v), max(u, v)): w for (u, v), w in edge_weights.items()}
     max_w = max((abs(w) for w in norm.values()), default=0)
     big = parts * parts * (max_w + 1)
-    part_lists = tuple(
-        tuple(c * n_vertices + i for i in range(1, n_vertices + 1)) for c in range(parts)
-    )
     weights: dict[tuple[int, int], int] = {}
-    for a_part in range(parts):
-        for b_part in range(a_part + 1, parts):
-            for i in range(1, n_vertices + 1):
-                for j in range(1, n_vertices + 1):
-                    u = a_part * n_vertices + i
-                    v = b_part * n_vertices + j
-                    if i == j:
-                        w = big
-                    else:
-                        w = norm.get((min(i, j), max(i, j)), big)
-                    weights[(u, v)] = w
+    for u, v in _cross_pairs(part_lists):
+        # Both copies of one vertex have no edge in norm, so they get big too.
+        i, j = sorted(((u - 1) % n_vertices + 1, (v - 1) % n_vertices + 1))
+        weights[(u, v)] = norm.get((i, j), big)
     return WeightedCliqueInstance(part_lists, weights)
 
 
@@ -656,6 +669,7 @@ def unique_via_bit_probing(
 
 MAX_QUERY_COMBINATIONS = 10**5
 MAX_PARTITE_EDGES = 10**5
+MAX_PARTITE_VERTICES = 10**5  # parts and vertices each, which bounds an edgeless graph too
 MAX_INSTANCE_VALUES = 10**6  # the values a generated set family or relation instance may hold
 
 
@@ -727,37 +741,24 @@ def random_partite_instance(
 ) -> tuple[WeightedCliqueInstance, tuple[int, ...] | None]:
     """Complete multipartite instance with uniform weights, optionally planted.
 
-    The graph has ``parts choose 2`` times ``part_size ** 2`` edges; above
-    MAX_PARTITE_EDGES of them it raises InputError before drawing anything.
+    The graph has ``parts * part_size`` vertices and ``parts choose 2``
+    times ``part_size ** 2`` edges; above MAX_PARTITE_VERTICES parts or
+    vertices, or MAX_PARTITE_EDGES edges, it raises InputError before
+    drawing anything.
     Planting picks one vertex per part and rewrites a single edge so the
     clique sums to zero.
     """
     message = "part count, part size and weight bound must be non-negative"
     _check_sizes(0, message, parts=parts, part_size=part_size, weight_bound=weight_bound)
-    edges = parts * (parts - 1) // 2 * part_size**2
-    if edges > MAX_PARTITE_EDGES:
-        raise InputError(f"the graph would have {edges} edges, more than {MAX_PARTITE_EDGES}")
+    part_lists = _equal_parts(parts, part_size)
     if plant and (parts < 2 or part_size == 0):
         raise InputError("planting a clique needs at least two non-empty parts")
-    part_lists = tuple(
-        tuple(c * part_size + i for i in range(1, part_size + 1)) for c in range(parts)
-    )
-    weights: dict[tuple[int, int], int] = {}
-    for a in range(parts):
-        for b in range(a + 1, parts):
-            for u in part_lists[a]:
-                for v in part_lists[b]:
-                    weights[(u, v)] = rng.randint(-weight_bound, weight_bound)
+    weights = {pair: rng.randint(-weight_bound, weight_bound) for pair in _cross_pairs(part_lists)}
     planted = None
     if plant:
         planted = tuple(part[rng.randrange(part_size)] for part in part_lists)
-        pairs = [
-            (min(planted[a], planted[b]), max(planted[a], planted[b]))
-            for a in range(parts)
-            for b in range(a + 1, parts)
-        ]
-        rest = sum(weights[e] for e in pairs[:-1])
-        weights[pairs[-1]] = -rest
+        *pairs, last = combinations(planted, 2)
+        weights[last] = -sum(weights[e] for e in pairs)
     return WeightedCliqueInstance(part_lists, weights), planted
 
 
@@ -768,7 +769,7 @@ def write_partite_graph(path: str | Path, g: WeightedCliqueInstance) -> None:
     back as the same graph only when its vertices are 1..n in part order and
     ``p`` is None; any other graph raises InputError before a byte is written.
     """
-    if [v for part in g.parts for v in part] != list(range(1, g.n + 1)):
+    if tuple(map(tuple, g.parts)) != _numbered_parts(map(len, g.parts)):
         raise InputError(f"cannot write graph file {path}: vertices are not 1..n in part order")
     if g.p is not None:
         raise InputError(f"cannot write graph file {path}: it stores no field size (p = {g.p})")
@@ -782,6 +783,18 @@ def write_partite_graph(path: str | Path, g: WeightedCliqueInstance) -> None:
 
 
 def read_partite_graph(path: str | Path) -> WeightedCliqueInstance:
+    """Read the text form that :func:`write_partite_graph` writes.
+
+    The first non-blank line is ``parts n1 n2 ...``, the part sizes; every
+    other non-blank line is an edge ``u v w`` with integer weight w, one per
+    cross pair, in either orientation.  Parts are numbered 1..n in part
+    order: the first part holds 1..n1, the next the following n2 vertices,
+    and so on.  Before it builds any part it raises InputError for a header
+    that is missing, not integers or holds a negative size, for fewer edge
+    lines than the header implies cross pairs, and for more than
+    MAX_PARTITE_VERTICES parts or vertices.  Bad edge lines, and edges the
+    parts do not admit, raise InputError too.
+    """
     text = read_text(path, "graph file")
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     header = lines[0].split() if lines else []
@@ -800,11 +813,7 @@ def read_partite_graph(path: str | Path) -> WeightedCliqueInstance:
         raise InputError(
             f"{path}: missing cross edge: the parts header implies more than {edge_lines} edges"
         )
-    part_lists = []
-    start = 1
-    for size in sizes:
-        part_lists.append(tuple(range(start, start + size)))
-        start += size
+    _check_vertices(len(sizes), sum(sizes), f"{path}: ")
     weights: dict[tuple[int, int], int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         toks = line.split()
@@ -818,4 +827,4 @@ def read_partite_graph(path: str | Path) -> WeightedCliqueInstance:
         if edge in weights:
             raise InputError(f"{path}:{lineno}: repeated edge {edge}")
         weights[edge] = w
-    return WeightedCliqueInstance(tuple(part_lists), weights)
+    return WeightedCliqueInstance(_numbered_parts(sizes), weights)

@@ -513,6 +513,11 @@ GEN_BAD_ARGS = {
         ["zeroclique", "--part-size", "183"],
         "the graph would have 100467 edges, more than 100000",
     ),
+    # Squared, this part size has more digits than an int may print: only the cap is named.
+    "zeroclique-part-size-past-the-printable": (
+        ["zeroclique", "--part-size", "9" * 3001],
+        "the graph would have more than 100000 parts or vertices",
+    ),
     "setdisj-negative-max-set-size": (["setdisj", "--max-set-size", "-1"], "non-negative"),
     "setdisj-negative-universe": (["setdisj", "--universe", "-1"], "non-negative"),
     "setdisj-queries-without-sets": (

@@ -251,6 +251,28 @@ def test_to_complete_k_partite_count_preserved():
         assert hd.count_zero_cliques(g) == unordered * 6  # 3! orderings
 
 
+@pytest.mark.parametrize(
+    "n_vertices, parts, message",
+    [
+        (2.5, 3, "n_vertices must be an integer, got 2.5"),
+        (3, 2.5, "parts must be an integer, got 2.5"),
+        (-1, 3, "the vertex count must be non-negative"),
+    ],
+)
+def test_to_complete_k_partite_rejects_bad_sizes(n_vertices, parts, message):
+    with pytest.raises(InputError, match=message):
+        hd.to_complete_k_partite(n_vertices, {}, parts)
+
+
+def test_to_complete_k_partite_refuses_more_edges_than_the_cap(monkeypatch):
+    # Three copies of three vertices: 3 pairs of parts times 9 edges.
+    monkeypatch.setattr(hd, "MAX_PARTITE_EDGES", 26)
+    with pytest.raises(InputError, match="the graph would have 27 edges, more than 26"):
+        hd.to_complete_k_partite(3, {(1, 2): 1}, 3)
+    monkeypatch.setattr(hd, "MAX_PARTITE_EDGES", 27)
+    assert len(hd.to_complete_k_partite(3, {(1, 2): 1}, 3).weights) == 27
+
+
 # --------------------------------------------------------------------- #
 # primes and weight randomization
 
@@ -740,6 +762,58 @@ def test_partite_graph_header_is_checked_against_the_edge_lines_first(tmp_path):
     try:
         with pytest.raises(InputError, match="missing cross edge"):
             hd.read_partite_graph(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def read_parts_header(tmp_path, sizes):
+    path = tmp_path / "graph.txt"
+    path.write_text("parts " + " ".join(map(str, sizes)) + "\n")
+    return hd.read_partite_graph(path)
+
+
+# Each builds an edgeless graph of one part of n vertices, or of n empty parts.
+EDGELESS_GRAPHS = {
+    "read-one-part": lambda tmp_path, rng, n: read_parts_header(tmp_path, [n]),
+    "read-empty-parts": lambda tmp_path, rng, n: read_parts_header(tmp_path, [0] * n),
+    "random-one-part": lambda tmp_path, rng, n: hd.random_partite_instance(rng, 1, n, 5)[0],
+    "random-empty-parts": lambda tmp_path, rng, n: hd.random_partite_instance(rng, n, 0, 5)[0],
+    "complete-empty-parts": lambda tmp_path, rng, n: hd.to_complete_k_partite(0, {}, n),
+}
+
+
+@pytest.mark.parametrize("case", list(EDGELESS_GRAPHS))
+def test_edgeless_graphs_stop_at_the_vertex_cap(tmp_path, monkeypatch, case):
+    monkeypatch.setattr(hd, "MAX_PARTITE_VERTICES", 10)
+    rng = random.Random(0)
+    state = rng.getstate()
+    g = EDGELESS_GRAPHS[case](tmp_path, rng, 10)
+    assert max(len(g.parts), g.n) == 10 and g.weights == {}
+    with pytest.raises(InputError, match="the graph would have more than 10 parts or vertices"):
+        EDGELESS_GRAPHS[case](tmp_path, rng, 11)
+    assert rng.getstate() == state
+
+
+# Each would build millions of parts or vertices, or hundreds of billions of edges.
+HUGE_GRAPHS = {
+    "read-one-part": lambda tmp_path, rng: read_parts_header(tmp_path, [2000000]),
+    "random-one-part": lambda tmp_path, rng: hd.random_partite_instance(rng, 1, 400000, 5),
+    "random-empty-parts": lambda tmp_path, rng: hd.random_partite_instance(rng, 10**8, 0, 5),
+    "complete-empty-parts": lambda tmp_path, rng: hd.to_complete_k_partite(0, {}, 10**8),
+    "complete-two-copies": lambda tmp_path, rng: hd.to_complete_k_partite(400000, {}, 2),
+}
+
+
+@pytest.mark.parametrize("case", list(HUGE_GRAPHS))
+def test_huge_graphs_are_refused_before_a_part_is_built(tmp_path, monkeypatch, case):
+    # The cap is patched low so that code without it fails here, before building anything.
+    monkeypatch.setattr(hd, "MAX_PARTITE_VERTICES", 10)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="more than 10 parts or vertices"):
+            HUGE_GRAPHS[case](tmp_path, random.Random(0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
