@@ -65,7 +65,7 @@ from fractions import Fraction
 from itertools import accumulate, groupby, repeat
 from math import floor, prod
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from . import storage
 from .decomposition import Decomposition, decompose
@@ -388,8 +388,14 @@ def value_count(values: Sequence) -> int:
         raise InputError(f"expected a sequence of values, got {type(values).__name__}") from None
 
 
-def _by_head(rows: Iterable[tuple[int, ...]]) -> Groups:
-    """Sorted distinct rows as a map from all columns but the last to their sorted last values."""
+def _by_head(rows: Collection[tuple[int, ...]]) -> Groups:
+    """Sorted distinct rows as a map from all columns but the last to their sorted last values.
+
+    The width is read off the first row. A one-column head is grouped by its
+    value and made a 1-tuple once per group, not sliced out of each row.
+    """
+    if len(next(iter(rows), ())) == 2:
+        return {(head,): [*map(itemgetter(1), run)] for head, run in groupby(rows, itemgetter(0))}
     return {head: [*map(itemgetter(-1), run)] for head, run in groupby(rows, itemgetter(slice(None, -1)))}
 
 

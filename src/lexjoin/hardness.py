@@ -203,6 +203,13 @@ def _cross_pairs(parts: Sequence[Sequence[int]]) -> Iterator[tuple[int, int]]:
     return chain.from_iterable(product(a, b) for a, b in combinations(parts, 2))
 
 
+def _check_weights(weights: Iterable) -> None:
+    """Reject a weight that is not an int (a bool is one)."""
+    stray = set(map(type, weights)) - {int, bool}
+    if stray:
+        raise InputError(f"edge weights must be integers, got {sorted(t.__name__ for t in stray)}")
+
+
 def _check_field_size(p) -> None:
     """Reject a field size that is not an int of at least 2."""
     if not (isinstance(p, int) and p >= 2):
@@ -239,9 +246,7 @@ class WeightedCliqueInstance:
         for u, v in _cross_pairs(self.parts):
             if (min(u, v), max(u, v)) not in self.weights:
                 raise InputError(f"missing cross edge ({u}, {v})")
-        stray = set(map(type, self.weights.values())) - {int, bool}
-        if stray:
-            raise InputError(f"edge weights must be integers, got {sorted(t.__name__ for t in stray)}")
+        _check_weights(self.weights.values())
         if self.p is not None:
             _check_field_size(self.p)
             for w in self.weights.values():
@@ -283,16 +288,22 @@ def to_complete_k_partite(
     Copies of a real edge keep its weight; pairs without an edge (including
     both copies of one vertex) get a weight too large for any zero sum to
     absorb, so zero cliques correspond exactly to zero cliques of the input.
-    Sizes that are not ints, fewer than two parts and a graph past
-    MAX_PARTITE_VERTICES or MAX_PARTITE_EDGES raise InputError before any
-    part is built.
+    Sizes that are not ints, fewer than two parts, an edge that is not a
+    pair of distinct ints in 1..n, a weight that is not an int and a graph
+    past MAX_PARTITE_VERTICES or MAX_PARTITE_EDGES raise InputError before
+    any part is built.
     """
     _check_sizes(2, "need at least two parts", parts=parts)
     _check_sizes(0, "the vertex count must be non-negative", n_vertices=n_vertices)
+    for edge in edge_weights:
+        # The messages name types, not values: an int past 4,300 digits cannot be printed.
+        if not (isinstance(edge, tuple) and len(edge) == 2 and all(isinstance(x, int) for x in edge)):
+            got = [type(x).__name__ for x in edge] if isinstance(edge, tuple) else type(edge).__name__
+            raise InputError(f"an edge must be a pair of integers, got {got}")
+        if not (1 <= edge[0] <= n_vertices and 1 <= edge[1] <= n_vertices and edge[0] != edge[1]):
+            raise InputError("bad edge: its ends must be distinct vertices in 1..n_vertices")
+    _check_weights(edge_weights.values())
     part_lists = _equal_parts(parts, n_vertices)
-    for (u, v) in edge_weights:
-        if not (1 <= u <= n_vertices and 1 <= v <= n_vertices and u != v):
-            raise InputError(f"bad edge ({u}, {v})")
     norm = {(min(u, v), max(u, v)): w for (u, v), w in edge_weights.items()}
     max_w = max((abs(w) for w in norm.values()), default=0)
     big = parts * parts * (max_w + 1)

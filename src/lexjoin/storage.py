@@ -9,8 +9,9 @@ database, and the pools occupy disjoint code ranges, so a variable can join
 columns of different relations safely and values of different types never
 collide.
 
-A database is built a column at a time: each column is parsed or type-checked
-once, pooled into one set per type and encoded through one dict per type.
+A database is built a column at a time: each distinct field is parsed once,
+and each column is pooled into one set per type and encoded through one dict
+per type.
 
 The on-disk format is a JSON manifest naming CSV files::
 
@@ -222,16 +223,21 @@ def _read_columns(symbol: str, path: Path, types: list[str] | None):
         raise InputError(f"relation file {path} is not valid UTF-8") from None
     except csv.Error as exc:  # a field over csv.field_size_limit(), say
         raise InputError(f"{path}:{reader.line_num}: {exc}") from None
-    rows = [r for r in records if r]  # an empty record is a blank line
+    widths = set(map(len, records))
+    rows = [r for r in records if r] if 0 in widths else records  # an empty record is a blank line
     if types is None and not rows:
         raise InputError(f"relation {symbol}: cannot infer arity of an empty file; declare 'types'")
     types = tuple([TYPE_STRING] * len(rows[0]) if types is None else types)
-    if set(map(len, rows)) - {len(types)}:
+    if widths - {0, len(types)}:
         _raise_bad_record(path, records, types)
     # One pass per column: zip(*rows) would make an iterator per row.
     columns = [list(map(itemgetter(k), rows)) for k in range(len(types))]
+    # Each distinct field of an int column is parsed once; the cells that spell it share one int.
     try:
-        columns = [list(map(int, c)) if t == TYPE_INT else c for t, c in zip(types, columns)]
+        columns = [
+            list(map({f: int(f) for f in set(c)}.__getitem__, c)) if t == TYPE_INT else c
+            for t, c in zip(types, columns)
+        ]
     except ValueError:
         _raise_bad_record(path, records, types)
     return types, columns, len(rows)

@@ -264,6 +264,23 @@ def test_to_complete_k_partite_rejects_bad_sizes(n_vertices, parts, message):
         hd.to_complete_k_partite(n_vertices, {}, parts)
 
 
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ({("a", 2): 1}, r"an edge must be a pair of integers, got \['str', 'int'\]"),
+        ({(1,): 1}, r"an edge must be a pair of integers, got \['int'\]"),
+        ({(1, 2): "5"}, r"edge weights must be integers, got \['str'\]"),
+        # Past 4,300 digits an int cannot be printed, so the messages name no values.
+        ({(10**5000,): 1}, r"an edge must be a pair of integers, got \['int'\]"),
+        ({(10**5000, 1): 1}, r"bad edge: its ends must be distinct vertices in 1\.\.n_vertices"),
+    ],
+    ids=["text-vertex", "one-vertex", "text-weight", "huge-one-vertex", "huge-vertex"],
+)
+def test_to_complete_k_partite_rejects_bad_edges(edges, message):
+    with pytest.raises(InputError, match=message):
+        hd.to_complete_k_partite(3, edges, 3)
+
+
 def test_to_complete_k_partite_refuses_more_edges_than_the_cap(monkeypatch):
     # Three copies of three vertices: 3 pairs of parts times 9 edges.
     monkeypatch.setattr(hd, "MAX_PARTITE_EDGES", 26)

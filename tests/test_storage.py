@@ -365,14 +365,15 @@ def random_int_field(rng, v):
     return rng.choice(spellings)
 
 
-def random_csv(rng, kinds, min_rows):
+def small_int_field(rng):
+    return random_int_field(rng, rng.randint(-12, 12))
+
+
+def random_csv(rng, kinds, min_rows, int_field=small_int_field, strings=STRINGS, max_rows=12):
     """CSV text of random rows (duplicates likely) with random quoting and blank lines."""
     lines = []
-    for _ in range(rng.randint(min_rows, 12)):
-        fields = [
-            random_int_field(rng, rng.randint(-12, 12)) if t == "int" else rng.choice(STRINGS)
-            for t in kinds
-        ]
+    for _ in range(rng.randint(min_rows, max_rows)):
+        fields = [int_field(rng) if t == "int" else rng.choice(strings) for t in kinds]
         out = io.StringIO()
         quoting = csv.QUOTE_ALL if rng.random() < 0.3 else csv.QUOTE_MINIMAL
         terminator = rng.choice(["\n", "\r\n"])
@@ -381,6 +382,16 @@ def random_csv(rng, kinds, min_rows):
         if rng.random() < 0.2:
             lines.append(rng.choice(["\n", "\r\n"]))
     return "".join(lines)
+
+
+def assert_loads_as_reference(d, manifest, tables, trial):
+    """Write the manifest into d beside its CSV files; load must give what reference_load gives."""
+    (d / "manifest.json").write_text(json.dumps(manifest))
+    db = load(d / "manifest.json")
+    rows, column_types, pools = reference_load(tables)
+    assert {sym: r.rows for sym, r in db.relations.items()} == rows, trial
+    assert db.column_types == column_types, trial
+    assert db.dictionary.pool_values == pools, trial
 
 
 def test_columnwise_load_matches_rowwise_reference(tmp_path):
@@ -400,12 +411,52 @@ def test_columnwise_load_matches_rowwise_reference(tmp_path):
             text = random_csv(rng, kinds, min_rows=0 if "types" in entry else 1)
             (d / f"{sym}.csv").write_bytes(text.encode("utf-8"))
             tables[sym] = (entry.get("types"), text)
-        (d / "manifest.json").write_text(json.dumps(manifest))
-        db = load(d / "manifest.json")
-        rows, column_types, pools = reference_load(tables)
-        assert {sym: r.rows for sym, r in db.relations.items()} == rows, trial
-        assert db.column_types == column_types, trial
-        assert db.dictionary.pool_values == pools, trial
+        assert_loads_as_reference(d, manifest, tables, trial)
+
+
+def wide_int_field(rng, v):
+    """A spelling int() reads as v: optional sign, leading zeros, an underscore and padding."""
+    digits = "0" * rng.choice([0, 0, 1, 2]) + str(abs(v))
+    if len(digits) > 1 and rng.random() < 0.3:
+        cut = rng.randrange(1, len(digits))
+        digits = f"{digits[:cut]}_{digits[cut:]}"
+    sign = "-" if v < 0 else rng.choice(["", "+"])
+    return rng.choice(["", " ", "  "]) + sign + digits + rng.choice(["", " ", "\t"])
+
+
+def test_wide_ints_spelled_many_ways_match_rowwise_reference(tmp_path):
+    # Values far past the small-int cache, each spelled several ways, repeated across
+    # columns, files and relations; string columns hold spellings of the same values.
+    # A column draws from a few spellings, so that its fields repeat, or spells each cell afresh.
+    rng = random.Random(12)
+    for trial in range(60):
+        d = tmp_path / str(trial)
+        d.mkdir()
+        values = [rng.randint(-(10**12), 10**12) for _ in range(5)] + [0, 5, 1000]
+        spellings = [wide_int_field(rng, v) for v in values for _ in range(2)]
+        tables, manifest = {}, {"relations": {}}
+        for i in range(rng.randint(2, 4)):
+            sym = f"R{i}"
+            kinds = [rng.choice(["int", "int", "string"]) for _ in range(rng.randint(1, 3))]
+            manifest["relations"][sym] = {"file": f"{sym}.csv", "types": kinds}
+            if rng.random() < 0.6:
+                pool = rng.sample(spellings, rng.randint(1, 6))
+                int_field = lambda r, pool=pool: r.choice(pool)
+            else:
+                int_field = lambda r: wide_int_field(r, r.choice(values))
+            text = random_csv(rng, kinds, 0, int_field, spellings[:4], max_rows=40)
+            (d / f"{sym}.csv").write_bytes(text.encode("utf-8"))
+            tables[sym] = (kinds, text)
+        assert_loads_as_reference(d, manifest, tables, trial)
+
+
+def test_first_bad_record_is_reported_past_a_repeated_bad_field(tmp_path):
+    # 'y' fills later records, in both columns; 'x' comes first, after a blank line.
+    text = "1,1\n\n2,x\ny,3\ny,4\ny,y\n5,y\n"
+    path = write_manifest(tmp_path, {"R": (["int", "int"], text)})
+    message = f"{tmp_path / 'R.csv'}:3: cannot parse 'x' as int"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        load(path)
 
 
 def fuzz_load(path, mutants):
