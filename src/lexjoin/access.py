@@ -10,18 +10,20 @@ Build phase, driven by the order-induced decomposition, whose bag forest
    distinct and already filtered: no relation or projection of its own.
    Any other bag takes one view per atom that lies inside it or meets it in
    a positive edge of its optimal fractional edge cover (projected unless
-   in bag order).  One view is the whole bag, the cheap rho* = 1 case; two
-   or more go to the generic join as a subquery whose output lists the
-   variables in the most views first.  The join binds them in that order
+   in bag order).  A view is a relation, one list of codes per column, and
+   is read a column at a time.  One view is the whole bag, the cheap rho* = 1
+   case; two or more go to the generic join as a subquery whose output lists
+   the variables in the most views first.  The join binds them in that order
    and returns its rows sorted in it, as a plain list.  An extra atom never
    raises the join's AGM bound, and the bag enforces every atom inside it,
    as does every bag read off its keys;
 2. each bag's rows become a map from interface (all columns except the
-   bag's own variable) to sorted candidates: rows in bag order (a single
-   view, a child's keys) split into runs (``_by_head``), the join's rows go
-   as they come into one dict pass (``_by_head_at``) that sorts only the
-   heads, since among rows that share a head the join order reduces to the
-   bag's own variable;
+   bag's own variable) to sorted candidates: a single view's heads are
+   counted and each run sliced from its last column, with no row tuple
+   (``_by_head_columns``); a child's keys, already tuples, split into runs
+   (``_by_head``); the join's rows go as they come into one dict pass
+   (``_by_head_at``) that sorts only the heads, since among rows that share
+   a head the join order reduces to the bag's own variable;
 3. the full reducer runs on these maps.  Its leaves-up half is an
    existence filter (``_in_child``): last bag first, a candidate with no
    group in some child bag is dropped, and so is a group left empty.  A bag
@@ -59,13 +61,13 @@ import random
 import re
 import sys
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, groupby, repeat
 from math import floor, prod
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import storage
 from .decomposition import Decomposition, decompose
@@ -388,15 +390,24 @@ def value_count(values: Sequence) -> int:
         raise InputError(f"expected a sequence of values, got {type(values).__name__}") from None
 
 
-def _by_head(rows: Collection[tuple[int, ...]]) -> Groups:
-    """Sorted distinct rows as a map from all columns but the last to their sorted last values.
-
-    The width is read off the first row. A one-column head is grouped by its
-    value and made a 1-tuple once per group, not sliced out of each row.
-    """
-    if len(next(iter(rows), ())) == 2:
-        return {(head,): [*map(itemgetter(1), run)] for head, run in groupby(rows, itemgetter(0))}
+def _by_head(rows: Iterable[tuple[int, ...]]) -> Groups:
+    """Sorted distinct row tuples, a child's keys, as a map from all columns but the last to their
+    sorted last values."""
     return {head: [*map(itemgetter(-1), run)] for head, run in groupby(rows, itemgetter(slice(None, -1)))}
+
+
+def _by_head_columns(columns: list[list[int]]) -> Groups:
+    """``_by_head`` of a relation's columns: each head's run is cut from the last column.
+
+    The heads are counted in row order, so each run starts where the counts
+    before it end; a one-column head is counted by its value and made a
+    1-tuple once per group.
+    """
+    *head, last = columns  # with no head column, every row falls under ()
+    runs = Counter(head[0] if len(head) == 1 else zip(*head) if head else repeat((), len(last)))
+    ends = list(accumulate(runs.values()))
+    keys = zip(runs) if len(head) == 1 else runs
+    return {key: last[start:end] for key, start, end in zip(keys, [0, *ends], ends)}
 
 
 def _by_head_at(rows: Sequence[tuple[int, ...]], cols: Sequence[int]) -> Groups:
@@ -483,7 +494,7 @@ def build_index(q: JoinQuery, order: VariableOrder, db: Database) -> AccessIndex
                         rel = storage.project(rel, [vs.index(v) for v in edge_keep])
                     views.append((rel, edge_keep))
             if len(views) == 1:  # a single view is the whole bag
-                groups = _by_head(views[0][0].rows)
+                groups = _by_head_columns(views[0][0].columns)
             else:  # join the variables in most views first, ties in order; rows come in that order
                 by_views = tuple(sorted(keep, key=lambda v: -sum(v in vs for _, vs in views)))
                 rows = generic_join(SubQuery(by_views, tuple(views)))

@@ -71,6 +71,33 @@ def lw_query(k: int) -> JoinQuery:
 # set families
 
 
+class _CheckedQueries(tuple):
+    """A tuple of queries checked once against family sizes ``sizes``.
+
+    Each query names one set per family by its 1-based index.  The instances
+    that ``build_intersection_instances`` makes for one graph share their
+    query tuples, so an instance whose families have these sizes does not
+    check its tuple again.
+    """
+
+    def __new__(cls, queries: Iterable[tuple[int, ...]], sizes: tuple[int, ...]):
+        checked = super().__new__(cls, queries)
+        if checked and set(map(len, checked)) != {len(sizes)}:
+            raise InputError("query must name one set per family")
+        for i, column in enumerate(zip(*checked)):
+            if not all(issubclass(t, int) for t in set(map(type, column))):
+                raise InputError(f"query indices for family {i + 1} must be integers")
+            values = set(column)
+            for j in (min(values), max(values)):
+                if not 1 <= j <= sizes[i]:
+                    raise InputError(f"query index {j} out of range for family {i + 1}")
+        checked.sizes = sizes
+        return checked
+
+    def __getnewargs__(self):  # so that copy and pickle pass the sizes back to __new__
+        return tuple(self), self.sizes
+
+
 @dataclass(frozen=True)
 class SetFamilyInstance:
     """k families of subsets of a universe, plus the queries to ask of them.
@@ -89,15 +116,9 @@ class SetFamilyInstance:
         uni = set(self.universe)
         if not all(uni.issuperset(chain.from_iterable(fam)) for fam in self.families):
             raise InputError("set element outside the universe")
-        if self.queries and set(map(len, self.queries)) != {self.k}:
-            raise InputError("query must name one set per family")
-        for i, column in enumerate(zip(*self.queries)):
-            if not all(issubclass(t, int) for t in set(map(type, column))):
-                raise InputError(f"query indices for family {i + 1} must be integers")
-            values = set(column)
-            for j in (min(values), max(values)):
-                if not 1 <= j <= len(self.families[i]):
-                    raise InputError(f"query index {j} out of range for family {i + 1}")
+        sizes = tuple(map(len, self.families))
+        if getattr(self.queries, "sizes", None) != sizes:
+            _CheckedQueries(self.queries, sizes)
 
     @property
     def k(self) -> int:
@@ -516,7 +537,8 @@ def build_intersection_instances(
     connecting edge weight falls in the tuple's cell i.  Queries are the
     first-k vertex combinations whose mutual weight falls in cell 0.  Both
     filter the graph's :func:`weight_tables`, built once.  Each arm's family
-    is built once per cell, and each query cell's combinations once.
+    is built once per cell, and each query cell's combinations once, checked
+    then against the family sizes, so no instance checks them again.
     Instances that share cells share these objects, so a lookup keyed on an
     instance's families compares them by identity.  The stream is the same
     as if every instance were built afresh.
@@ -529,6 +551,7 @@ def build_intersection_instances(
     n = g.n
     cap = query_cap(k, n, rho)
     combos, to_last = weight_tables(g)
+    sizes = tuple(map(len, g.parts[:k]))  # family i holds one set per vertex of part i
 
     @cache
     def family(i: int, lo: int, hi: int) -> tuple[frozenset[int], ...]:
@@ -536,7 +559,7 @@ def build_intersection_instances(
 
     @cache
     def queries(lo: int, hi: int) -> tuple[tuple[int, ...], ...]:
-        return tuple(combo for combo, w in combos.items() if lo <= w < hi)
+        return _CheckedQueries((combo for combo, w in combos.items() if lo <= w < hi), sizes)
 
     for tup in interval_tuples(g.p, n, rho, k):
         (lo0, hi0), *arms = tup.intervals

@@ -1,6 +1,8 @@
 """Relations on disk and in memory: loading, encoding, projection, semijoin.
 
-Relations are sets of fixed-arity tuples.  Values are dictionary-encoded
+A relation is a set of fixed-arity rows, held as one list of codes per
+column with its rows distinct and in lexicographic order; ``Relation.rows``
+makes the tuples only when read.  Values are dictionary-encoded
 into integer codes before anything else sees them; encoding is
 order-preserving per value type (numeric order for ``int`` columns, bytewise
 for ``string``), so comparing code tuples lexicographically is the same as
@@ -10,8 +12,8 @@ columns of different relations safely and values of different types never
 collide.
 
 A database is built a column at a time: each distinct field is parsed once,
-and each column is pooled into one set per type and encoded through one dict
-per type.
+each column is pooled into one set per type and encoded through one dict per
+type, and the encoded columns become the relation's own, with no row tuple.
 
 The on-disk format is a JSON manifest naming CSV files::
 
@@ -19,9 +21,11 @@ The on-disk format is a JSON manifest naming CSV files::
 
 CSV files carry no header and follow RFC 4180 quoting; a leading UTF-8 BOM in
 any text file is ignored.  Duplicate rows are dropped silently, with no set:
-strictly increasing rows are kept, others sorted once with adjacent duplicates
-dropped, so a leading-prefix projection of sorted rows is never re-sorted.  A
-database is immutable once built.
+columns whose rows strictly increase (a sorted CSV file, say) are kept after
+one order check across them; any others are sorted once through transient
+tuples and their adjacent duplicates dropped.  Rows that merely do not
+decrease, such as a projection onto a leading prefix of sorted rows, cost the
+sort one linear pass.  A database is immutable once built.
 
 ``semijoin`` is a public operator that the build does not call: each bag's
 join takes every atom inside the bag.
@@ -84,6 +88,13 @@ def normalize_type(name: str) -> str:
         raise InputError(f"unknown column type {name!r}") from None
 
 
+def _type_names(types, where: str) -> tuple[str, ...]:
+    """A list or tuple of column type names, normalized; InputError naming ``where`` for anything else."""
+    if not isinstance(types, (list, tuple)) or not all(isinstance(t, str) for t in types):
+        raise InputError(f"{where}: 'types' must be a list of names")
+    return tuple(map(normalize_type, types))
+
+
 def read_text(path: str | Path, what: str) -> str:
     """A UTF-8 text file's contents less a leading BOM; InputError naming ``what`` if unreadable."""
     try:
@@ -139,20 +150,42 @@ class ValueDictionary:
 
 
 class Relation:
-    """Deduplicated, sorted code tuples of fixed arity; strictly increasing input is kept as is,
-    any other is sorted once and adjacent duplicates dropped, with no set."""
+    """Distinct code rows of one arity, held as one list of codes per column, rows in lexicographic order.
+
+    ``columns`` is all it holds, with the row count that a nullary relation
+    needs.  ``Relation(arity, rows)`` takes rows and checks their widths;
+    ``Relation.of_columns`` takes one or more columns of one length, which
+    cannot disagree.  Rows that already strictly increase are kept as they
+    are; any others are sorted once through transient tuples and their
+    adjacent duplicates dropped, with no set.  ``rows`` makes the tuples on
+    each read and keeps none, for the oracle, ``semijoin`` and tests.
+    """
 
     def __init__(self, arity: int, rows: Iterable[tuple[int, ...]]):
-        self.arity = arity
-        self.rows: tuple[tuple[int, ...], ...] = tuple(rows)
-        if not all(map(lt, self.rows, islice(self.rows, 1, None))):
-            self.rows = tuple(map(itemgetter(0), groupby(sorted(self.rows))))
-        if set(map(len, self.rows)) - {arity}:
-            width = next(len(row) for row in self.rows if len(row) != arity)
+        rows = list(rows)
+        if set(map(len, rows)) - {arity}:
+            width = next(len(row) for row in rows if len(row) != arity)
             raise InputError(f"row of width {width} in relation of arity {arity}")
+        if not all(map(lt, rows, islice(rows, 1, None))):
+            rows = [*map(itemgetter(0), groupby(sorted(rows)))]
+        self.arity, self._height = arity, len(rows)
+        self.columns = [[*map(itemgetter(k), rows)] for k in range(arity)]
+
+    @classmethod
+    def of_columns(cls, columns: list[list[int]]) -> Relation:
+        """The relation whose rows the columns spell; the lists themselves when those rows strictly increase."""
+        if not all(map(lt, zip(*columns), zip(*(islice(c, 1, None) for c in columns)))):
+            return cls(len(columns), zip(*columns))
+        rel = cls.__new__(cls)
+        rel.arity, rel._height, rel.columns = len(columns), len(columns[0]), columns
+        return rel
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(zip(*self.columns)) if self.arity else ((),) * self._height
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self._height
 
 
 @dataclass
@@ -185,10 +218,10 @@ def _encode(columnar: dict[str, tuple[tuple[str, ...], list, int]]) -> Database:
     relations = {}
     for symbol, (types, columns, height) in columnar.items():
         if types and height:
-            rows = zip(*[map(dictionary._codes[t].__getitem__, c) for t, c in zip(types, columns)])
+            codes = [list(map(dictionary._codes[t].__getitem__, c)) for t, c in zip(types, columns)]
+            relations[symbol] = Relation.of_columns(codes)
         else:  # no values to encode: no rows, or the nullary relation's ()
-            rows = [()] * height
-        relations[symbol] = Relation(len(types), rows)
+            relations[symbol] = Relation(len(types), [()] * height)
     return Database(relations, dictionary, {s: c[0] for s, c in columnar.items()})
 
 
@@ -196,8 +229,11 @@ def build_database(raw: dict[str, tuple[Sequence[str], Iterable[tuple]]]) -> Dat
     """Build a database from ``{symbol: (types, raw rows)}`` already in memory."""
     columnar = {}
     for symbol, (types, rows) in raw.items():
-        types = tuple(normalize_type(t) for t in types)
-        rows = list(map(tuple, rows))
+        types = _type_names(types, f"relation {symbol}")
+        rows = list(rows)
+        if not all(issubclass(c, (tuple, list)) for c in set(map(type, rows))):
+            bad = next(type(row).__name__ for row in rows if not isinstance(row, (tuple, list)))
+            raise InputError(f"relation {symbol}: a row must be a tuple or list, got {bad}")
         if set(map(len, rows)) - {len(types)}:
             width = next(len(row) for row in rows if len(row) != len(types))
             raise InputError(f"relation {symbol}: row of width {width}, expected {len(types)}")
@@ -211,7 +247,7 @@ def build_database(raw: dict[str, tuple[Sequence[str], Iterable[tuple]]]) -> Dat
     return _encode(columnar)
 
 
-def _read_columns(symbol: str, path: Path, types: list[str] | None):
+def _read_columns(symbol: str, path: Path, types: tuple[str, ...] | None):
     """``(types, typed columns, row count)`` of one CSV file; undeclared types are strings."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -275,27 +311,22 @@ def load(manifest_path: str | Path) -> Database:
         if not isinstance(file_name, str):
             raise InputError(f"manifest entry for {symbol}: 'file' must be a string")
         types = entry.get("types")
-        if types is not None:
-            if not isinstance(types, list) or not all(isinstance(t, str) for t in types):
-                raise InputError(f"manifest entry for {symbol}: 'types' must be a list of names")
-            types = [normalize_type(t) for t in types]
+        types = None if types is None else _type_names(types, f"manifest entry for {symbol}")
         columnar[symbol] = _read_columns(symbol, manifest_path.parent / file_name, types)
     return _encode(columnar)
 
 
 def project(r: Relation, attrs: Sequence[int]) -> Relation:
-    """Projection onto the given column indices, deduplicated.  Adjacent duplicates are
-    dropped first, so a leading prefix of sorted rows is kept as is; any other is sorted once."""
+    """Projection onto the given column indices, deduplicated: the relation of those columns,
+    which keeps them as they are when their rows strictly increase (see ``Relation.of_columns``)."""
     if not isinstance(attrs, Sequence) or not all(isinstance(a, int) for a in attrs):
         raise InputError(f"columns must be a sequence of integers, got {attrs!r}")
     for a in attrs:
         if not 0 <= a < r.arity:
             raise InputError(f"column {a} out of range for arity {r.arity}")
     if not attrs:
-        return Relation(0, [()] if r.rows else [])
-    rows = map(itemgetter(*attrs), r.rows)
-    rows = zip(rows) if len(attrs) == 1 else rows  # one index gives values, not 1-tuples
-    return Relation(len(attrs), map(itemgetter(0), groupby(rows)))
+        return Relation(0, [()] if len(r) else [])
+    return Relation.of_columns([r.columns[a] for a in attrs])
 
 
 def semijoin(r: Relation, s: Relation, on: Sequence[tuple[int, int]]) -> Relation:

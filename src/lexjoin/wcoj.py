@@ -3,27 +3,28 @@
 ``generic_join`` is Generic Join over hash tries (Ngo, Ré, Rudra, "Skew
 strikes back", SIGMOD Record 2013).  A subquery's output tuple is its join
 order: each relation view becomes nested dicts over its variables in that
-order, filled from its rows sorted in it, so every trie node yields its keys
-in increasing order.  At each variable the join iterates the keys of the view
-node with the fewest children, keeps a value only if every other view node
-there has it as a key, and descends into the children; its rows thus come out
-strictly increasing in the output, with no sort of their own.  Once each
-variable left is the last variable of a view of its own, those variables are
-independent: the rest of a row is the product of the views' nodes (a
-factorised tail, as in Olteanu and Závodný, TODS 2015), one
-``itertools.product`` call per prefix.  ``naive_join`` computes the same rows
-by filtering the product of the per-variable candidate domains; it exists
-purely as a test oracle.  Neither knows of a database: views in, a list of
-rows out.
+order, filled from its columns read in that order (their rows sorted once
+through transient tuples only when the view's columns are out of it), so
+every trie node yields its keys in increasing order.  At each variable the
+join iterates the keys of the view node with the fewest children, keeps a
+value only if every other view node there has it as a key, and descends into
+the children; its rows thus come out strictly increasing in the output, with
+no sort of their own.  Once each variable left is the last variable of a view
+of its own, those variables are independent: the rest of a row is the
+product of the views' nodes (a factorised tail, as in Olteanu and Závodný,
+TODS 2015), one ``itertools.product`` call per prefix.  ``naive_join``
+computes the same rows by filtering the product of the per-variable candidate
+domains; it exists purely as a test oracle.  Neither knows of a database:
+views in, a list of rows out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 from math import lcm
-from operator import itemgetter
+from operator import eq
 from typing import Sequence
 
 from .errors import InputError
@@ -59,18 +60,16 @@ class SubQuery:
 
 def _collapse_repeats(rel: Relation, vs: tuple[str, ...]) -> tuple[Relation, tuple[str, ...]]:
     # R(x, x, y) becomes a view over distinct variables, keeping only rows
-    # where the repeated columns agree.
+    # where the repeated columns agree: the first column of each variable,
+    # compressed to those rows, still in order.
     first: dict[str, int] = {}
     for idx, v in enumerate(vs):
         first.setdefault(v, idx)
     if len(first) == len(vs):
         return rel, vs
-    cols = list(first.values())
-    keep = []
-    for row in rel.rows:
-        if all(row[idx] == row[first[v]] for idx, v in enumerate(vs)):
-            keep.append(tuple(row[c] for c in cols))
-    return Relation(len(cols), keep), tuple(first.keys())
+    pairs = [map(eq, rel.columns[i], rel.columns[first[v]]) for i, v in enumerate(vs) if i != first[v]]
+    agree = list(map(all, zip(*pairs)))
+    return Relation.of_columns([list(compress(rel.columns[c], agree)) for c in first.values()]), tuple(first)
 
 
 def _extend(users: list[list[int]], tail: int, prefix: tuple[int, ...], nodes: list, out: list) -> None:
@@ -122,15 +121,17 @@ def generic_join(sq: SubQuery) -> list[tuple[int, ...]]:
             return []
         if not vs:  # a nullary view with its one row () constrains nothing
             continue
-        *inner, leaf = cols = sorted(range(len(vs)), key=lambda c: pos[vs[c]])
+        cols = sorted(range(len(vs)), key=lambda c: pos[vs[c]])
         for c in cols:
             users[pos[vs[c]]].append(len(roots))
         trie: dict = {}  # filled in join order, so every node's keys increase
-        for row in rel.rows if cols == sorted(cols) else sorted(rel.rows, key=itemgetter(*cols)):
+        inner = range(len(cols) - 1)
+        rows = zip(*map(rel.columns.__getitem__, cols))  # each row's values in join order
+        for row in rows if cols == sorted(cols) else sorted(rows):
             node = trie
-            for c in inner:
-                node = node.setdefault(row[c], {})
-            node[row[leaf]] = None
+            for d in inner:
+                node = node.setdefault(row[d], {})
+            node[row[-1]] = None
         roots.append(trie)
 
     # The product tail: the longest suffix of variables that each have one user, all distinct.
@@ -147,7 +148,7 @@ def naive_join(sq: SubQuery) -> list[tuple[int, ...]]:
     domains: dict[str, set[int] | None] = {v: None for v in sq.output}
     for rel, vs in sq.atoms:
         for col, v in enumerate(vs):
-            values = {row[col] for row in rel.rows}
+            values = set(rel.columns[col])
             domains[v] = values if domains[v] is None else domains[v] & values
     pools = []
     for v in sq.output:

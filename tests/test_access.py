@@ -714,3 +714,17 @@ def test_long_chain_and_wide_star_against_oracle():
     assert ix.count() == expected.count
     for j, row in enumerate(expected.rows):
         assert ix.access(j) == row
+
+
+def test_groups_cut_from_columns_match_groups_of_rows():
+    # A single view's groups come from its columns; they must equal the runs of its rows.
+    rng = random.Random(22)
+    for trial in range(300):
+        arity = trial % 3 + 1
+        rows = [tuple(rng.randrange(4) for _ in range(arity)) for _ in range(rng.randrange(50))]
+        rel = storage.Relation(arity, rows)
+        expected = {}
+        for row in rel.rows:
+            expected.setdefault(row[:-1], []).append(row[-1])
+        assert access._by_head_columns(rel.columns) == expected == access._by_head(rel.rows), rows
+        assert list(access._by_head_columns(rel.columns)) == sorted(expected)

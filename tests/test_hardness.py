@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import math
+import pickle
 import random
 import subprocess
 import sys
@@ -128,6 +130,38 @@ def test_set_family_validation():
         hd.SetFamilyInstance((1, 2, 3), families, ((2, 1), (1, 0)))
     with pytest.raises(InputError, match="at least one set family"):
         hd.SetFamilyInstance((1, 2), (), ((),))
+
+
+def test_checked_query_tuple_is_checked_again_under_other_family_sizes():
+    wide = ((frozenset({1}), frozenset({2})), (frozenset({1}), frozenset({2})))
+    narrow = ((frozenset({1}),), (frozenset({1}),))
+    checked = hd._CheckedQueries([(1, 1), (2, 2)], (2, 2))
+    assert checked == ((1, 1), (2, 2)) and checked.sizes == (2, 2)
+    for copied in (copy.deepcopy(checked), pickle.loads(pickle.dumps(checked))):
+        assert (type(copied), copied, copied.sizes) == (hd._CheckedQueries, checked, (2, 2))
+    assert hd.SetFamilyInstance((1, 2), wide, checked).queries is checked
+    with pytest.raises(InputError, match="index 2 out of range for family 1"):
+        hd.SetFamilyInstance((1, 2), narrow, checked)
+    with pytest.raises(InputError, match="must be integers"):
+        hd._CheckedQueries([(1.0, 1)], (2, 2))
+
+
+def test_reduction_checks_each_query_tuple_once(monkeypatch):
+    # The instances of one graph share a few query tuples: each is checked once, where it is made.
+    made = []
+
+    class Counted(hd._CheckedQueries):
+        def __new__(cls, queries, sizes):
+            made.append(sizes)
+            return super().__new__(cls, queries, sizes)
+
+    monkeypatch.setattr(hd, "_CheckedQueries", Counted)
+    g, _ = hd.random_partite_instance(random.Random(3), 4, 8, 10**6)
+    randomized, _ = hd.randomize_weights(g, hd.sample_prime(10**8, 10**9, random.Random(4)), random.Random(5))
+    instances = [inst for inst, _ in hd.build_intersection_instances(randomized, 1 / 6)]
+    shared = {id(inst.queries) for inst in instances}
+    assert len(instances) > len(shared) > 1
+    assert len(made) == len(shared) and all(type(inst.queries) is Counted for inst in instances)
 
 
 @pytest.mark.parametrize("k", [0, -1, 2.5])

@@ -1,8 +1,10 @@
 import csv
 import io
 import json
+import operator
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -29,6 +31,10 @@ def write_manifest(tmp_path, relations):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest))
     return path
+
+
+def transpose(rows, arity):
+    return [[row[k] for row in rows] for k in range(arity)]
 
 
 def test_load_basic(tmp_path):
@@ -145,7 +151,8 @@ def test_project_against_brute_force():
         r = Relation(arity, rows)
         attrs = [rng.randrange(arity) for _ in range(rng.randint(1, arity))]
         expected = sorted({tuple(row[a] for a in attrs) for row in rows})
-        assert list(project(r, attrs).rows) == expected
+        view = project(r, attrs)
+        assert (list(view.rows), view.columns) == (expected, transpose(expected, len(attrs)))
 
 
 def test_project_onto_no_columns():
@@ -216,9 +223,10 @@ def test_relation_rejects_ragged_rows():
 
 def test_relation_rows_are_the_sorted_distinct_rows():
     # Strictly increasing input is kept as it is; any other is deduplicated and sorted.
+    # Given as rows or as columns, a relation holds the columns of those rows.
     rng = random.Random(13)
-    for _ in range(200):
-        arity = rng.randint(1, 3)
+    for trial in range(200):
+        arity = rng.randint(0, 3)
         drawn = [tuple(rng.randrange(6) for _ in range(arity)) for _ in range(rng.randrange(30))]
         rows = sorted(set(drawn))
         with_duplicates = sorted(rows + rng.choices(rows, k=len(rows) // 2))
@@ -227,10 +235,62 @@ def test_relation_rows_are_the_sorted_distinct_rows():
         runs = [row for row in rows for _ in range(rng.randint(1, 40))]
         for given in (rows, with_duplicates, shuffled, tuple(shuffled), iter(rows),
                       descending, rows[::-1], runs, runs[::-1]):
-            assert Relation(arity, given).rows == tuple(rows)
+            rel = Relation(arity, given)
+            assert (rel.rows, len(rel), rel.columns) == (tuple(rows), len(rows), transpose(rows, arity))
+        for given in (rows, with_duplicates, shuffled, descending, runs[::-1]) if arity else ():
+            rel = Relation.of_columns(transpose(given, arity))
+            assert (rel.arity, rel.rows, rel.columns) == (arity, tuple(rows), transpose(rows, arity)), trial
     assert Relation(2, []).rows == ()
     assert Relation(0, [()]).rows == ((),)
     assert Relation(0, [(), ()]).rows == ((),)
+    assert (len(Relation(0, [(), ()])), Relation(0, [()]).columns, len(Relation(0, []))) == (1, [], 0)
+
+
+def test_strictly_increasing_columns_are_kept_as_they_are():
+    columns = [[1, 1, 2], [5, 7, 0]]
+    rel = Relation.of_columns(columns)
+    assert rel.columns is columns and rel.rows == ((1, 5), (1, 7), (2, 0))
+    assert all(map(operator.is_, project(rel, [0, 1]).columns, columns))
+    assert project(rel, [0]).columns == [[1, 2]]
+    assert rel.rows is not rel.rows  # made on each read, not kept
+
+
+def test_out_of_order_csv_loads_as_its_sorted_twin(tmp_path):
+    rng = random.Random(19)
+    rows = sorted({(rng.randrange(9), rng.choice("abc"), rng.randrange(-5, 5)) for _ in range(60)})
+    shuffled = rng.sample(rows, len(rows)) + rng.sample(rows, 10)
+    text = lambda rs: "".join(f"{a},{b},{c}\n" for a, b, c in rs)
+    types = ["int", "string", "int"]
+    sorted_db = load(write_manifest(tmp_path, {"R": (types, text(rows))}))
+    (tmp_path / "R.csv").write_text(text(shuffled))
+    shuffled_db = load(tmp_path / "manifest.json")
+    for db in (sorted_db, shuffled_db):
+        rel = db.relations["R"]
+        decoded = [tuple(map(db.dictionary.decode, row)) for row in rel.rows]
+        assert decoded == rows
+        assert rel.columns == transpose(rel.rows, 3)
+    assert shuffled_db.relations["R"].columns == sorted_db.relations["R"].columns
+
+
+@pytest.mark.parametrize("order", ["sorted", "shuffled"])
+def test_loaded_relation_holds_no_row_tuples(tmp_path, order):
+    # 20,000 distinct rows over 200 values per column.  One list of codes per column held
+    # 18-19 bytes a row from a sorted file and 23-25 from a shuffled one (the tuple free
+    # list keeps some of the sort's tuples); a tuple per row held 59-61.
+    rng = random.Random(20)
+    rows = rng.sample([(a, b) for a in range(200) for b in range(200)], 20_000)
+    if order == "sorted":
+        rows.sort()
+    path = write_manifest(tmp_path, {"R": (["int", "int"], "".join(f"{a},{b}\n" for a, b in rows))})
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        db = load(path)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(db.relations["R"]) == 20_000
+    assert held / 20_000 < 32
 
 
 def test_ragged_row_is_reported_alike_sorted_or_not():
@@ -278,6 +338,12 @@ def test_build_database_accepts_bool_as_int():
         (["string"], [("a",), (5,)], "relation R: 5 is not a string"),
         (["int"], [(1.0,)], "relation R: 1.0 is not an int"),
         (["int", "int"], [(1, 2), (3,)], "relation R: row of width 1, expected 2"),
+        (["string", "string"], ["ab"], "relation R: a row must be a tuple or list, got str"),
+        (["int"], [(1,), 5], "relation R: a row must be a tuple or list, got int"),
+        (["int"], [None], "relation R: a row must be a tuple or list, got NoneType"),
+        ("int", [(1,)], "relation R: 'types' must be a list of names"),
+        (None, [(1,)], "relation R: 'types' must be a list of names"),
+        ([1], [(1,)], "relation R: 'types' must be a list of names"),
     ],
 )
 def test_build_database_rejects_bad_rows(types, rows, message):

@@ -70,6 +70,23 @@ def test_repeated_variable_atom():
     assert len(out) == 2
 
 
+def test_collapsed_views_match_rowwise_filter():
+    # A view over distinct variables keeps the rows whose repeated columns agree, its
+    # columns the first of each variable; checked against a filter over the rows.
+    rng = random.Random(21)
+    for _ in range(300):
+        vs = tuple(rng.choice("xyz") for _ in range(rng.randint(1, 4)))
+        rows = [tuple(rng.randrange(3) for _ in vs) for _ in range(rng.randrange(40))]
+        rel, distinct = wcoj._collapse_repeats(Relation(len(vs), rows), vs)
+        first = [vs.index(v) for v in distinct]
+        expected = sorted({
+            tuple(row[c] for c in first) for row in rows if all(row[i] == row[vs.index(v)] for i, v in enumerate(vs))
+        })
+        assert distinct == tuple(dict.fromkeys(vs)), vs
+        assert (rel.arity, list(rel.rows)) == (len(distinct), expected), (vs, rows)
+        assert rel.columns == [[row[k] for row in expected] for k in range(len(distinct))]
+
+
 def in_order(rows, output, order):
     """``rows`` over ``output`` with their columns permuted into ``order``, sorted."""
     cols = [output.index(v) for v in order]
